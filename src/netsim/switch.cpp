@@ -11,7 +11,12 @@ void Switch::enable_management(Ipv4Address ip, MacAddress mac,
 }
 
 void Switch::on_frame(Nic& ingress, const Frame& frame) {
-  fdb_[frame->src] = &ingress;  // learn
+  // Learn the source port.
+  auto [learned, inserted] = fdb_.try_emplace(frame->src, &ingress);
+  if (inserted || learned->second != &ingress) {
+    learned->second = &ingress;
+    ++fdb_generation_;
+  }
 
   if (management_ != nullptr && frame->dst == management_mac_) {
     ++stats_.frames_to_management;

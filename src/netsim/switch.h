@@ -44,6 +44,10 @@ class Switch : public Node {
   /// The port a MAC was learned on, or nullptr.
   Nic* learned_port(MacAddress mac);
   const std::unordered_map<MacAddress, Nic*>& fdb() const { return fdb_; }
+  /// Bumped whenever the FDB gains a MAC or a MAC moves port. Re-learning
+  /// a MAC on the port it already maps to leaves it unchanged, so views
+  /// of the FDB can be cached until it moves.
+  std::uint64_t fdb_generation() const { return fdb_generation_; }
 
   const SwitchStats& stats() const { return stats_; }
 
@@ -53,6 +57,7 @@ class Switch : public Node {
   void flood(const Nic* except, const Frame& frame);
 
   std::unordered_map<MacAddress, Nic*> fdb_;  ///< forwarding database
+  std::uint64_t fdb_generation_ = 0;
   std::unique_ptr<UdpStack> management_;
   MacAddress management_mac_;
   SwitchStats stats_;

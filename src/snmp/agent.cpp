@@ -178,9 +178,10 @@ Pdu SnmpAgent::process_get_next(const Pdu& request, SnmpVersion version) {
   for (std::size_t i = 0; i < response.varbinds.size(); ++i) {
     auto next = mib_.get_next(response.varbinds[i].oid);
     // RFC 1905 §4.2.2: the successor must be lexicographically greater
-    // than the request OID. MibTree::get_next guarantees this by map
-    // ordering, but a guard keeps a future MIB backend from ever
-    // emitting the endless-walk responses the manager defends against.
+    // than the request OID. MibTree::get_next guarantees this for
+    // registered objects and relies on table providers for their rows,
+    // so a guard keeps a faulty provider from ever emitting the
+    // endless-walk responses the manager defends against.
     const bool increasing =
         next.has_value() && next->first > response.varbinds[i].oid;
     if (increasing) {

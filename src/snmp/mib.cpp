@@ -22,29 +22,50 @@ void MibTree::unregister_subtree(const Oid& root) {
   }
 }
 
-void MibTree::add_refresh_hook(RefreshHook hook) {
-  hooks_.push_back(std::move(hook));
+void MibTree::register_table(Oid root, std::unique_ptr<TableProvider> table) {
+  tables_[std::move(root)] = std::move(table);
 }
 
-void MibTree::run_hooks() {
-  if (in_hook_) return;  // hooks may re-register objects, not re-enter
-  in_hook_ = true;
-  for (const auto& hook : hooks_) hook(*this);
-  in_hook_ = false;
+MibTree::Tables::const_iterator MibTree::first_table_from(
+    const Oid& oid) const {
+  auto it = tables_.upper_bound(oid);
+  if (it != tables_.begin() && oid.starts_with(std::prev(it)->first)) {
+    return std::prev(it);
+  }
+  return it;
 }
 
 std::optional<SnmpValue> MibTree::get(const Oid& instance) {
-  run_hooks();
+  const auto table = first_table_from(instance);
+  if (table != tables_.end() && instance.starts_with(table->first)) {
+    if (auto value = table->second->get(instance)) return value;
+  }
   auto it = objects_.find(instance);
   if (it == objects_.end()) return std::nullopt;
   return it->second();
 }
 
 std::optional<std::pair<Oid, SnmpValue>> MibTree::get_next(const Oid& oid) {
-  run_hooks();
-  auto it = objects_.upper_bound(oid);
-  if (it == objects_.end()) return std::nullopt;
-  return std::make_pair(it->first, it->second());
+  const auto object = objects_.upper_bound(oid);
+  for (auto table = first_table_from(oid); table != tables_.end(); ++table) {
+    // Rows extend their root, so an object at or before the root of this
+    // (or any later) table precedes all of its rows.
+    if (object != objects_.end() && object->first <= table->first) break;
+    if (auto row = table->second->next(oid)) {
+      if (object == objects_.end() || row->first <= object->first) {
+        return row;
+      }
+      break;
+    }
+  }
+  if (object == objects_.end()) return std::nullopt;
+  return std::make_pair(object->first, object->second());
+}
+
+std::size_t MibTree::size() const {
+  std::size_t total = objects_.size();
+  for (const auto& [root, table] : tables_) total += table->size();
+  return total;
 }
 
 }  // namespace netqos::snmp

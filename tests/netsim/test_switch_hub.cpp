@@ -69,6 +69,32 @@ TEST_F(SwitchFixture, FdbLearnsSourcePorts) {
   EXPECT_EQ(port->name(), "p1");
 }
 
+TEST_F(SwitchFixture, FdbGenerationBumpsOnlyWhenFdbChanges) {
+  EXPECT_EQ(sw->fdb_generation(), 0u);
+  hosts[0]->udp().send(hosts[1]->ip(), 9, 1000, {}, 10);
+  sim.run_all();
+  EXPECT_EQ(sw->fdb_generation(), 1u);  // A is new
+
+  // Re-learning A on the same port is the steady state: no bump.
+  hosts[0]->udp().send(hosts[1]->ip(), 9, 1000, {}, 10);
+  sim.run_all();
+  EXPECT_EQ(sw->fdb_generation(), 1u);
+
+  hosts[1]->udp().send(hosts[0]->ip(), 9, 1000, {}, 10);
+  sim.run_all();
+  EXPECT_EQ(sw->fdb_generation(), 2u);  // B is new
+
+  // A moves to p3.
+  EthernetFrame moved;
+  moved.src = hosts[0]->find_interface("eth0")->mac();
+  moved.dst = MacAddress::from_id(0xbeef);
+  sw->on_frame(*sw->find_interface("p3"), make_frame(moved));
+  sim.run_all();
+  EXPECT_EQ(sw->fdb_generation(), 3u);
+  EXPECT_EQ(sw->learned_port(moved.src), sw->find_interface("p3"));
+  EXPECT_EQ(sw->fdb().size(), 2u);
+}
+
 TEST_F(SwitchFixture, SwitchPortCountersSeeForwardedTraffic) {
   hosts[1]->udp().send(hosts[0]->ip(), 9, 1000, {}, 10);  // learn B
   sim.run_all();

@@ -134,6 +134,28 @@ class DeployedFixture : public ::testing::Test {
         sim, net->find_host("L")->udp());
   }
 
+  /// Walks dot1dTpFdbPort on sw0, `bulk_size` rows per GETBULK, and
+  /// returns the rows.
+  std::vector<VarBind> walk_fdb(std::size_t bulk_size = 16) {
+    std::optional<WalkResult> got;
+    SubtreeWalker walker(*client, bulk_size);
+    walker.walk(sim::Ipv4Address::parse("10.0.0.100"), "public",
+                mib2::kDot1dTpFdbPort,
+                [&](WalkResult r) { got = std::move(r); });
+    sim.run_until(sim.now() + seconds(5));
+    EXPECT_TRUE(got.has_value() && got->ok);
+    return got.has_value() ? got->varbinds : std::vector<VarBind>{};
+  }
+
+  /// The port number `mac` has in `rows`, or 0 when it has no row.
+  static std::int64_t fdb_port(const std::vector<VarBind>& rows,
+                               const sim::MacAddress& mac) {
+    for (const auto& vb : rows) {
+      if (vb.oid == fdb_instance(mac)) return std::get<std::int64_t>(vb.value);
+    }
+    return 0;
+  }
+
   spec::SpecFile specfile;
   sim::Simulator sim;
   std::unique_ptr<sim::Network> net;
@@ -197,22 +219,69 @@ TEST_F(DeployedFixture, BridgeMibExposesLearnedMacs) {
   l->udp().send(s1->ip(), 9, sport, {}, 10);
   sim.run_until(seconds(1));
 
-  std::optional<WalkResult> got;
-  SubtreeWalker walker(*client);
-  walker.walk(sim::Ipv4Address::parse("10.0.0.100"), "public",
-              mib2::kDot1dTpFdbPort,
-              [&](WalkResult r) { got = std::move(r); });
-  sim.run_until(seconds(5));
-  ASSERT_TRUE(got.has_value() && got->ok);
   // At least L's MAC learned on port p1 (index 1).
-  bool found_l_on_p1 = false;
-  const auto l_mac = l->find_interface("eth0")->mac();
-  for (const auto& vb : got->varbinds) {
-    if (vb.oid == fdb_instance(l_mac)) {
-      found_l_on_p1 = std::get<std::int64_t>(vb.value) == 1;
-    }
+  EXPECT_EQ(fdb_port(walk_fdb(), l->find_interface("eth0")->mac()), 1);
+}
+
+TEST_F(DeployedFixture, BridgeMibShowsNewlyLearnedMacOnNextWalk) {
+  sim::Host* s1 = net->find_host("S1");
+  sim::Host* s2 = net->find_host("S2");
+  const auto s2_mac = s2->find_interface("hme0")->mac();
+  s1->udp().bind(9, [](const sim::Ipv4Packet&) {});
+
+  const auto before = walk_fdb();
+  EXPECT_EQ(fdb_port(before, s2_mac), 0);
+
+  s2->udp().send(s1->ip(), 9, s2->udp().allocate_ephemeral_port(), {}, 10);
+  sim.run_until(sim.now() + seconds(1));
+
+  const auto after = walk_fdb();
+  EXPECT_EQ(fdb_port(after, s2_mac), 3);  // S2 hangs off p3
+  EXPECT_EQ(after.size(), before.size() + 1);
+}
+
+TEST_F(DeployedFixture, BridgeMibFollowsMacThatMovesPort) {
+  sim::Switch* sw = net->find_switch("sw0");
+  sim::Host* s1 = net->find_host("S1");
+  sim::Host* s2 = net->find_host("S2");
+  const auto s1_mac = s1->find_interface("hme0")->mac();
+  s2->udp().bind(9, [](const sim::Ipv4Packet&) {});
+  s1->udp().send(s2->ip(), 9, s1->udp().allocate_ephemeral_port(), {}, 10);
+  sim.run_until(sim.now() + seconds(1));
+
+  const auto before = walk_fdb();
+  EXPECT_EQ(fdb_port(before, s1_mac), 2);  // S1 hangs off p2
+
+  // S1's MAC now speaks from p4: same FDB size, different port.
+  const std::size_t fdb_size = sw->fdb().size();
+  sim::EthernetFrame moved;
+  moved.src = s1_mac;
+  moved.dst = sim::MacAddress::from_id(0xbeef);
+  sw->on_frame(*sw->find_interface("p4"), sim::make_frame(moved));
+  ASSERT_EQ(sw->fdb().size(), fdb_size);
+
+  const auto after = walk_fdb();
+  EXPECT_EQ(fdb_port(after, s1_mac), 4);
+  EXPECT_EQ(after.size(), before.size());
+}
+
+TEST_F(DeployedFixture, BridgeMibBulkWalkReturnsWholeFdbInOrder) {
+  sim::Host* s1 = net->find_host("S1");
+  s1->udp().bind(9, [](const sim::Ipv4Packet&) {});
+  for (const char* name : {"S2", "S3", "S4", "N1", "N2"}) {
+    sim::Host* host = net->find_host(name);
+    host->udp().send(s1->ip(), 9, host->udp().allocate_ephemeral_port(), {},
+                     10);
   }
-  EXPECT_TRUE(found_l_on_p1);
+  sim.run_until(sim.now() + seconds(1));
+
+  // Bulk steps smaller than the table so the walk spans several GETBULKs.
+  const auto rows = walk_fdb(/*bulk_size=*/3);
+  EXPECT_EQ(rows.size(), net->find_switch("sw0")->fdb().size());
+  EXPECT_GT(rows.size(), 3u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_LT(rows[i - 1].oid, rows[i].oid);
+  }
 }
 
 TEST(DeployErrors, SnmpOnHubRejected) {
