@@ -43,6 +43,26 @@ void BM_EventCascade(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCascade)->Arg(10'000);
 
+void BM_EventFrameHop(benchmark::State& state) {
+  // The per-hop shape of Nic::start_transmission: each event captures a
+  // shared frame plus 8 bytes of hop state (and a pointer to its sink).
+  const Frame frame = make_frame(EthernetFrame{});
+  for (auto _ : state) {
+    Simulator sim;
+    const int n = static_cast<int>(state.range(0));
+    std::size_t octets_out = 0;
+    for (int i = 0; i < n; ++i) {
+      sim.schedule_at(i, [&octets_out, frame, octets = frame->wire_size()] {
+        octets_out += octets;
+      });
+    }
+    sim.run_all();
+    benchmark::DoNotOptimize(octets_out);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EventFrameHop)->Arg(1'000)->Arg(100'000);
+
 void BM_UdpAcrossSwitch(benchmark::State& state) {
   // Simulated seconds of a 1 MB/s stream across a switch, per wall-second.
   Simulator sim;

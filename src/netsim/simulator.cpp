@@ -1,7 +1,6 @@
 #include "netsim/simulator.h"
 
 #include <stdexcept>
-#include <unordered_map>
 
 namespace netqos::sim {
 
@@ -9,13 +8,39 @@ EventId Simulator::schedule_at(SimTime when, Callback fn) {
   if (when < now_) {
     throw std::invalid_argument("cannot schedule event in the past");
   }
-  const EventId id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& entry = slots_[slot];
+  entry.fn = std::move(fn);
+  const std::uint32_t generation = ++entry.generation;
+  queue_.push(Event{when, next_seq_++, slot, generation});
+  return static_cast<EventId>(generation) << 32 | slot;
 }
 
-bool Simulator::cancel(EventId id) { return callbacks_.erase(id) > 0; }
+void Simulator::release(std::uint32_t slot) {
+  ++slots_[slot].generation;
+  free_slots_.push_back(slot);
+}
+
+bool Simulator::cancel(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slots_.size() || (generation & 1U) == 0 ||
+      slots_[slot].generation != generation) {
+    return false;
+  }
+  // Move the callable out first: its destructor may run arbitrary code
+  // (frame deleters), and the slot must already be free when it does.
+  Callback dropped = std::move(slots_[slot].fn);
+  release(slot);
+  return true;
+}
 
 void Simulator::attach_metrics(obs::MetricsRegistry& registry) {
   // Pull-style: nothing touches the event loop's hot path. The counters
@@ -34,33 +59,27 @@ void Simulator::attach_metrics(obs::MetricsRegistry& registry) {
   });
 }
 
+void Simulator::dispatch_top() {
+  const Event ev = queue_.top();
+  queue_.pop();
+  Slot& entry = slots_[ev.slot];
+  if (entry.generation != ev.generation) return;  // cancelled
+  // Moved out before running: the callback may schedule events that
+  // grow slots_, and cancel() on its own id must already see it gone.
+  Callback fn = std::move(entry.fn);
+  release(ev.slot);
+  now_ = ev.when;
+  ++executed_;
+  fn();
+}
+
 void Simulator::run_until(SimTime until) {
-  while (!queue_.empty() && queue_.top().when <= until) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) continue;  // cancelled
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    now_ = ev.when;
-    ++executed_;
-    fn();
-  }
+  while (!queue_.empty() && queue_.top().when <= until) dispatch_top();
   if (now_ < until) now_ = until;
 }
 
 void Simulator::run_all() {
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    auto it = callbacks_.find(ev.id);
-    if (it == callbacks_.end()) continue;
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    now_ = ev.when;
-    ++executed_;
-    fn();
-  }
+  while (!queue_.empty()) dispatch_top();
 }
 
 }  // namespace netqos::sim

@@ -208,42 +208,46 @@ Pdu SnmpAgent::process_get_bulk(const Pdu& request) {
   const auto max_reps = static_cast<std::size_t>(
       std::max<std::int32_t>(0, request.max_repetitions()));
 
+  const std::size_t singles = std::min(non_repeaters, request.varbinds.size());
+  // Bounded by the agent's response cap, whatever max-repetitions the
+  // wire asked for.
+  const std::size_t repeaters = request.varbinds.size() - singles;
+  response.varbinds.reserve(
+      singles +
+      std::min(config_.max_response_varbinds, repeaters * max_reps));
+
   // Non-repeaters: one GETNEXT each.
-  for (std::size_t i = 0;
-       i < std::min(non_repeaters, request.varbinds.size()); ++i) {
+  for (std::size_t i = 0; i < singles; ++i) {
     auto next = mib_.get_next(request.varbinds[i].oid);
-    VarBind vb;
     if (next.has_value()) {
-      vb.oid = next->first;
-      vb.value = next->second;
+      response.varbinds.push_back(
+          VarBind{std::move(next->first), std::move(next->second)});
     } else {
-      vb.oid = request.varbinds[i].oid;
-      vb.value = VarBindException::kEndOfMibView;
+      response.varbinds.push_back(VarBind{request.varbinds[i].oid,
+                                          VarBindException::kEndOfMibView});
     }
-    response.varbinds.push_back(std::move(vb));
   }
 
-  // Repeaters: up to max-repetitions GETNEXT steps per varbind.
-  for (std::size_t i = non_repeaters; i < request.varbinds.size(); ++i) {
-    Oid cursor = request.varbinds[i].oid;
+  // Repeaters: up to max-repetitions GETNEXT steps per varbind. The
+  // cursor is the OID just appended, so each step moves the successor
+  // into the response instead of copying it.
+  for (std::size_t i = singles; i < request.varbinds.size(); ++i) {
+    const Oid* cursor = &request.varbinds[i].oid;
     for (std::size_t rep = 0; rep < max_reps; ++rep) {
       if (response.varbinds.size() >= config_.max_response_varbinds) {
         return response;
       }
-      auto next = mib_.get_next(cursor);
-      VarBind vb;
+      auto next = mib_.get_next(*cursor);
       // Same monotonicity guard as GETNEXT: a non-increasing successor
       // would repeat rows up to max-repetitions; end the view instead.
-      if (!next.has_value() || next->first <= cursor) {
-        vb.oid = cursor;
-        vb.value = VarBindException::kEndOfMibView;
-        response.varbinds.push_back(std::move(vb));
+      if (!next.has_value() || next->first <= *cursor) {
+        response.varbinds.push_back(
+            VarBind{*cursor, VarBindException::kEndOfMibView});
         break;
       }
-      cursor = next->first;
-      vb.oid = next->first;
-      vb.value = next->second;
-      response.varbinds.push_back(std::move(vb));
+      response.varbinds.push_back(
+          VarBind{std::move(next->first), std::move(next->second)});
+      cursor = &response.varbinds.back().oid;
     }
   }
   return response;

@@ -1,5 +1,7 @@
 #include "snmp/ber.h"
 
+#include "snmp/ber_view.h"
+
 namespace netqos::snmp::ber {
 namespace {
 
@@ -23,7 +25,7 @@ std::size_t signed_length(std::int64_t value) {
 /// Bytes for an unsigned encoding (leading 0x00 if the MSB is set).
 std::size_t unsigned_length(std::uint64_t value) {
   std::size_t n = 1;
-  while (value >> (n * 8) != 0 && n < 8) ++n;
+  while (n < 8 && value >> (n * 8) != 0) ++n;
   if ((value >> ((n - 1) * 8)) & 0x80) ++n;  // avoid sign-bit ambiguity
   return n;
 }
@@ -254,30 +256,7 @@ std::uint64_t read_unsigned_content(ByteReader& in, std::size_t length) {
 }
 
 Oid read_oid_content(ByteReader& in, std::size_t length) {
-  if (length == 0) throw BerError("empty OID");
-  const std::size_t end = in.position() + length;
-  std::vector<std::uint32_t> arcs;
-  bool first = true;
-  while (in.position() < end) {
-    std::uint32_t arc = 0;
-    std::uint8_t byte;
-    std::size_t septets = 0;
-    do {
-      if (in.position() >= end) throw BerError("truncated OID arc");
-      byte = in.get_u8();
-      if (++septets > 5) throw BerError("OID arc exceeds 32 bits");
-      arc = (arc << 7) | (byte & 0x7f);
-    } while (byte & 0x80);
-    if (first) {
-      // First subidentifier packs the first two arcs as X*40 + Y.
-      arcs.push_back(arc < 80 ? arc / 40 : 2);
-      arcs.push_back(arc < 80 ? arc % 40 : arc - 80);
-      first = false;
-    } else {
-      arcs.push_back(arc);
-    }
-  }
-  return Oid(std::move(arcs));
+  return OidView{in.get_bytes(length)}.to_oid();
 }
 
 SnmpValue read_value(ByteReader& in) {

@@ -123,7 +123,10 @@ int OidView::compare(const Oid& other) const {
 }
 
 Oid OidView::to_oid() const {
+  // Every arc takes at least one byte and the first byte packs two, so
+  // this one reservation covers the whole decode.
   std::vector<std::uint32_t> arcs;
+  arcs.reserve(content.size() + 1);
   iterate_arcs(content, [&](std::uint32_t arc) {
     arcs.push_back(arc);
     return true;

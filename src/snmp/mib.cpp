@@ -3,6 +3,7 @@
 namespace netqos::snmp {
 
 void MibTree::register_object(Oid instance, Provider provider) {
+  hint_ = objects_.end();
   objects_[std::move(instance)] = std::move(provider);
 }
 
@@ -12,10 +13,12 @@ void MibTree::register_constant(Oid instance, SnmpValue value) {
 }
 
 void MibTree::unregister_object(const Oid& instance) {
+  hint_ = objects_.end();
   objects_.erase(instance);
 }
 
 void MibTree::unregister_subtree(const Oid& root) {
+  hint_ = objects_.end();
   auto it = objects_.lower_bound(root);
   while (it != objects_.end() && it->first.starts_with(root)) {
     it = objects_.erase(it);
@@ -23,6 +26,7 @@ void MibTree::unregister_subtree(const Oid& root) {
 }
 
 void MibTree::register_table(Oid root, std::unique_ptr<TableProvider> table) {
+  hint_ = objects_.end();
   tables_[std::move(root)] = std::move(table);
 }
 
@@ -46,7 +50,9 @@ std::optional<SnmpValue> MibTree::get(const Oid& instance) {
 }
 
 std::optional<std::pair<Oid, SnmpValue>> MibTree::get_next(const Oid& oid) {
-  const auto object = objects_.upper_bound(oid);
+  const auto object = hint_ != objects_.end() && hint_->first == oid
+                          ? std::next(hint_)
+                          : objects_.upper_bound(oid);
   for (auto table = first_table_from(oid); table != tables_.end(); ++table) {
     // Rows extend their root, so an object at or before the root of this
     // (or any later) table precedes all of its rows.
@@ -59,6 +65,7 @@ std::optional<std::pair<Oid, SnmpValue>> MibTree::get_next(const Oid& oid) {
     }
   }
   if (object == objects_.end()) return std::nullopt;
+  hint_ = object;
   return std::make_pair(object->first, object->second());
 }
 

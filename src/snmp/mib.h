@@ -9,6 +9,13 @@
 //     from live state, for tables whose rows come and go (the bridge
 //     forwarding database).
 // GETNEXT order is the lexicographic order of the union of both.
+//
+// get_next keeps a walk hint: the object it returned last. A walk asks
+// next for exactly that OID, so its successor is std::next(hint) and the
+// step costs no map search. Every register/unregister call drops the
+// hint (an unregister may erase the hinted object), so the tree is
+// neither copyable nor movable: a copied hint would point into the
+// source tree.
 #pragma once
 
 #include <functional>
@@ -37,6 +44,10 @@ class MibTree {
  public:
   using Provider = std::function<SnmpValue()>;
 
+  MibTree() = default;
+  MibTree(const MibTree&) = delete;
+  MibTree& operator=(const MibTree&) = delete;
+
   /// Registers an instance OID. Replaces any existing registration.
   void register_object(Oid instance, Provider provider);
   /// Convenience: a constant value.
@@ -59,14 +70,17 @@ class MibTree {
   std::size_t size() const;
 
  private:
+  using Objects = std::map<Oid, Provider>;
   using Tables = std::map<Oid, std::unique_ptr<TableProvider>>;
 
   /// The first table that can hold an instance greater than `oid`: the
   /// one whose root prefixes `oid`, else the first root after it.
   Tables::const_iterator first_table_from(const Oid& oid) const;
 
-  std::map<Oid, Provider> objects_;
+  Objects objects_;
   Tables tables_;
+  /// The object get_next returned last; objects_.end() when unset.
+  Objects::const_iterator hint_ = objects_.end();
 };
 
 }  // namespace netqos::snmp

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
+#include "netsim/packet.h"
+
 namespace netqos::sim {
 namespace {
 
@@ -112,6 +117,188 @@ TEST(Simulator, ExecutedCountTracks) {
   for (int i = 0; i < 5; ++i) sim.schedule_at(seconds(i + 1), [] {});
   sim.run_all();
   EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+TEST(Simulator, StaleIdOfReusedSlotCancelsNothing) {
+  Simulator sim;
+  const EventId cancelled = sim.schedule_at(seconds(1), [] {});
+  ASSERT_TRUE(sim.cancel(cancelled));
+  bool ran = false;
+  const EventId reused = sim.schedule_at(seconds(1), [&] { ran = true; });
+  EXPECT_NE(reused, cancelled);
+  EXPECT_FALSE(sim.cancel(cancelled));
+  sim.run_all();
+  EXPECT_TRUE(ran);
+
+  // Same after the event ran rather than being cancelled.
+  const EventId executed = sim.schedule_at(seconds(2), [] {});
+  sim.run_all();
+  ran = false;
+  sim.schedule_at(seconds(3), [&] { ran = true; });
+  EXPECT_FALSE(sim.cancel(executed));
+  sim.run_all();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Simulator, CancelZeroReturnsFalse) {
+  Simulator sim;
+  EXPECT_FALSE(sim.cancel(0));
+  sim.schedule_at(seconds(1), [] {});
+  EXPECT_FALSE(sim.cancel(0));
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, CallbackCancellingItselfGetsFalse) {
+  Simulator sim;
+  EventId self = 0;
+  bool result = true;
+  self = sim.schedule_at(seconds(1), [&] { result = sim.cancel(self); });
+  sim.run_all();
+  EXPECT_FALSE(result);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(Simulator, MoveOnlyCaptureRuns) {
+  Simulator sim;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  sim.schedule_at(seconds(1), [&seen, value = std::move(value)] {
+    seen = *value;
+  });
+  sim.run_all();
+  EXPECT_EQ(seen, 42);
+}
+
+/// Counts live instances, and destructions of the instance that was
+/// never moved from (the one that owns the capture at the end).
+struct InstrumentedCapture {
+  int* live;
+  int* final_destructions;
+  bool moved_from = false;
+
+  InstrumentedCapture(int* live_count, int* destructions)
+      : live(live_count), final_destructions(destructions) {
+    ++*live;
+  }
+  InstrumentedCapture(const InstrumentedCapture& o)
+      : live(o.live), final_destructions(o.final_destructions) {
+    ++*live;
+  }
+  InstrumentedCapture(InstrumentedCapture&& o) noexcept
+      : live(o.live), final_destructions(o.final_destructions) {
+    o.moved_from = true;
+    ++*live;
+  }
+  InstrumentedCapture& operator=(const InstrumentedCapture&) = delete;
+  ~InstrumentedCapture() {
+    --*live;
+    if (!moved_from) ++*final_destructions;
+  }
+};
+
+TEST(Simulator, CaptureLargerThanInlineBufferRunsAndIsDestroyedOnce) {
+  int live = 0;
+  int destructions = 0;
+  int runs = 0;
+  {
+    Simulator sim;
+    std::array<std::uint64_t, 8> padding{};
+    padding[7] = 7;
+    auto big = [&runs, padding, probe = InstrumentedCapture(&live,
+                                                           &destructions)] {
+      runs += static_cast<int>(padding[7]);
+    };
+    static_assert(sizeof(big) > EventCallback::kInlineBytes);
+    static_assert(!EventCallback::kStoredInline<decltype(big)>);
+    sim.schedule_at(seconds(1), std::move(big));
+    // Grow the slot table so the stored callable is relocated.
+    for (int i = 0; i < 100; ++i) sim.schedule_at(seconds(2), [] {});
+    sim.run_until(seconds(1));
+    EXPECT_EQ(runs, 7);
+    EXPECT_EQ(destructions, 1);
+    EXPECT_EQ(live, 1);  // only `big` itself, moved from, remains
+  }
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(destructions, 1);
+}
+
+TEST(Simulator, PerHopFrameCapturesAreStoredInline) {
+  // The capture shapes of Nic::start_transmission (NIC, frame, octets)
+  // and Link::carry (peer NIC, frame).
+  struct Transmit {
+    void* nic;
+    Frame frame;
+    std::size_t octets;
+    void operator()() {}
+  };
+  struct Carry {
+    void* to;
+    Frame frame;
+    void operator()() {}
+  };
+  static_assert(EventCallback::kStoredInline<Transmit>);
+  static_assert(EventCallback::kStoredInline<Carry>);
+}
+
+TEST(Simulator, QueuedFramesReleasePooledPayloadsAtTeardown) {
+  BufferPool::Stats at_last_release;
+  /// Drops its frame, then snapshots the pool: whichever capture is
+  /// destroyed last records the stats after every frame is gone.
+  struct FrameHolder {
+    Frame frame;
+    BufferPool* pool;
+    BufferPool::Stats* out;
+    FrameHolder(Frame f, BufferPool* p, BufferPool::Stats* o)
+        : frame(std::move(f)), pool(p), out(o) {}
+    FrameHolder(FrameHolder&& o) noexcept = default;
+    FrameHolder& operator=(FrameHolder&&) = delete;
+    ~FrameHolder() {
+      if (out == nullptr || frame == nullptr) return;
+      frame.reset();
+      *out = pool->stats();
+    }
+  };
+  {
+    Simulator sim;
+    BufferPool& pool = sim.buffer_pool();
+    for (int i = 0; i < 8; ++i) {
+      EthernetFrame raw;
+      raw.ip.udp.payload = pool.acquire();
+      raw.ip.udp.payload.assign(100, static_cast<std::uint8_t>(i));
+      FrameHolder holder(make_pooled_frame(std::move(raw), &pool), &pool,
+                         &at_last_release);
+      sim.schedule_at(seconds(i + 1),
+                      [holder = std::move(holder)] { (void)holder; });
+    }
+    sim.run_until(seconds(3));  // three delivered, five still queued
+    EXPECT_EQ(pool.stats().releases, 3u);
+  }
+  EXPECT_EQ(at_last_release.acquires, 8u);
+  EXPECT_EQ(at_last_release.releases, 8u);
+}
+
+TEST(Simulator, SameTimeOrderHoldsAcrossSlotReuse) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(sim.schedule_at(seconds(1), [&, i] { order.push_back(i); }));
+  }
+  // Free slots 1 and 3, then refill them: the newcomers reuse lower
+  // slots but must still run after every earlier same-time event.
+  ASSERT_TRUE(sim.cancel(ids[1]));
+  ASSERT_TRUE(sim.cancel(ids[3]));
+  sim.schedule_at(seconds(1), [&] { order.push_back(6); });
+  sim.schedule_at(seconds(1), [&] { order.push_back(7); });
+  // Each event at t=1 schedules a follow-up at t=2 into a slot freed
+  // moments before; the follow-ups keep their scheduling order.
+  sim.schedule_at(seconds(1), [&] {
+    for (int i = 10; i < 14; ++i) {
+      sim.schedule_at(seconds(2), [&, i] { order.push_back(i); });
+    }
+  });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 5, 6, 7, 10, 11, 12, 13}));
 }
 
 }  // namespace

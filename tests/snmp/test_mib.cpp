@@ -111,9 +111,9 @@ class FixedTable final : public TableProvider {
 };
 
 /// Scalars at 1.1.0 and 1.2.0, a table at 1.5 with rows 1.5.1.{1,2,3},
-/// and an object after the table at 1.9.0.
-MibTree mib_with_table(FixedTable** table_out = nullptr) {
-  MibTree mib;
+/// and an object after the table at 1.9.0. (MibTree is not movable, so
+/// the fixture fills a caller's tree.)
+void fill_with_table(MibTree& mib, FixedTable** table_out = nullptr) {
   mib.register_constant(Oid({1, 1, 0}), std::int64_t{10});
   mib.register_constant(Oid({1, 2, 0}), std::int64_t{20});
   mib.register_constant(Oid({1, 9, 0}), std::int64_t{90});
@@ -122,12 +122,12 @@ MibTree mib_with_table(FixedTable** table_out = nullptr) {
       {Oid({1, 5, 1, 3}), 53}});
   if (table_out != nullptr) *table_out = table.get();
   mib.register_table(Oid({1, 5}), std::move(table));
-  return mib;
 }
 
 TEST(MibTree, TableGetInsideAndOutsideSubtree) {
   FixedTable* table = nullptr;
-  MibTree mib = mib_with_table(&table);
+  MibTree mib;
+  fill_with_table(mib, &table);
   EXPECT_EQ(*mib.get(Oid({1, 5, 1, 2})), SnmpValue(std::int64_t{52}));
   EXPECT_FALSE(mib.get(Oid({1, 5, 1, 4})).has_value());
   EXPECT_FALSE(mib.get(Oid({1, 5})).has_value());
@@ -141,7 +141,8 @@ TEST(MibTree, TableGetInsideAndOutsideSubtree) {
 }
 
 TEST(MibTree, GetNextWalksScalarsTableAndTrailingObjects) {
-  MibTree mib = mib_with_table();
+  MibTree mib;
+  fill_with_table(mib);
   const std::vector<Oid> expected = {
       Oid({1, 1, 0}),    Oid({1, 2, 0}),    Oid({1, 5, 1, 1}),
       Oid({1, 5, 1, 2}), Oid({1, 5, 1, 3}), Oid({1, 9, 0})};
@@ -153,6 +154,21 @@ TEST(MibTree, GetNextWalksScalarsTableAndTrailingObjects) {
     walked.push_back(cursor);
   }
   EXPECT_EQ(walked, expected);
+  // A second walk on the same tree starts from the hint the first one
+  // left behind (at 1.9.0) and must give the same order.
+  std::vector<Oid> rewalked;
+  cursor = Oid();
+  while (auto next = mib.get_next(cursor)) {
+    cursor = next->first;
+    rewalked.push_back(cursor);
+  }
+  EXPECT_EQ(rewalked, expected);
+  // Stepping from the hinted scalar crosses into the table, and the
+  // trailing object follows the table's last row.
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 0}))->first, Oid({1, 5, 1, 1}));
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 0}))->first, Oid({1, 5, 1, 1}));
+  EXPECT_EQ(mib.get_next(Oid({1, 5, 1, 3}))->first, Oid({1, 9, 0}));
+  EXPECT_FALSE(mib.get_next(Oid({1, 9, 0})).has_value());
   EXPECT_EQ(*mib.get_next(Oid({1, 5, 1, 2})),
             std::make_pair(Oid({1, 5, 1, 3}), SnmpValue(std::int64_t{53})));
   // From between rows and from outside the table's subtree.
@@ -185,6 +201,83 @@ TEST(MibTree, TableLastRowIsFollowedByEndOfView) {
   EXPECT_EQ(mib.get_next(Oid({1, 5, 1}))->first, Oid({1, 5, 2}));
   EXPECT_FALSE(mib.get_next(Oid({1, 5, 2})).has_value());
   EXPECT_FALSE(mib.get_next(Oid({2})).has_value());
+}
+
+/// Scalars 1.1.0 .. 1.4.0 with value 10 * the second arc.
+void fill_scalars(MibTree& mib) {
+  for (std::uint32_t arc = 1; arc <= 4; ++arc) {
+    mib.register_constant(Oid({1, arc, 0}), std::int64_t{10} * arc);
+  }
+}
+
+TEST(MibTree, WalkHintSurvivesRegistrationNextToTheHintedObject) {
+  MibTree mib;
+  fill_scalars(mib);
+  ASSERT_EQ(mib.get_next(Oid({1, 1, 0}))->first, Oid({1, 2, 0}));  // hint
+  // Just after the hinted OID: the walk must see the newcomer.
+  mib.register_constant(Oid({1, 2, 5}), std::int64_t{25});
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 0}))->first, Oid({1, 2, 5}));
+  // Just before the hinted OID (now 1.2.5): a step from the hint is
+  // unchanged, a step from before it finds the newcomer.
+  mib.register_constant(Oid({1, 2, 1}), std::int64_t{21});
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 5}))->first, Oid({1, 3, 0}));
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 0}))->first, Oid({1, 2, 1}));
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 1}))->first, Oid({1, 2, 5}));
+}
+
+TEST(MibTree, WalkHintSurvivesUnregistrationAroundTheHintedObject) {
+  MibTree mib;
+  fill_scalars(mib);
+  ASSERT_EQ(mib.get_next(Oid({1, 1, 0}))->first, Oid({1, 2, 0}));  // hint
+  // Just after the hinted OID: its successor is gone.
+  mib.unregister_object(Oid({1, 3, 0}));
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 0}))->first, Oid({1, 4, 0}));
+  // The hinted object itself (now 1.4.0): the step from its OID falls
+  // back to a search instead of following an erased node.
+  mib.unregister_object(Oid({1, 4, 0}));
+  EXPECT_FALSE(mib.get_next(Oid({1, 4, 0})).has_value());
+  ASSERT_EQ(mib.get_next(Oid({1, 1, 0}))->first, Oid({1, 2, 0}));  // hint
+  // Just before the hinted OID.
+  mib.unregister_subtree(Oid({1, 1}));
+  EXPECT_EQ(mib.get_next(Oid({1, 2, 0})), std::nullopt);
+  EXPECT_EQ(mib.get_next(Oid())->first, Oid({1, 2, 0}));
+  EXPECT_EQ(mib.size(), 1u);
+}
+
+TEST(MibTree, AlternatingCursorsMatchAFreshTree) {
+  MibTree mib;
+  fill_with_table(mib);
+  fill_scalars(mib);
+  auto fresh_next = [](const Oid& oid) {
+    MibTree fresh;
+    fill_with_table(fresh);
+    fill_scalars(fresh);
+    return fresh.get_next(oid);
+  };
+  // Two interleaved walks, one from the start and one from mid-tree,
+  // each overwriting the hint the other relies on.
+  Oid a;
+  Oid b({1, 2, 0});
+  bool a_done = false;
+  bool b_done = false;
+  int steps = 0;
+  while (!(a_done && b_done)) {
+    for (Oid* cursor : {&a, &b}) {
+      bool& done = cursor == &a ? a_done : b_done;
+      if (done) continue;
+      const auto expected = fresh_next(*cursor);
+      const auto got = mib.get_next(*cursor);
+      ASSERT_EQ(got, expected) << "from " << cursor->to_string();
+      if (!got.has_value()) {
+        done = true;
+      } else {
+        *cursor = got->first;
+      }
+      ++steps;
+    }
+  }
+  // a: all 8 instances then end; b: the 6 after 1.2.0 then end.
+  EXPECT_EQ(steps, 9 + 7);
 }
 
 }  // namespace
