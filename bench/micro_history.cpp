@@ -73,7 +73,10 @@ void bench_series_append() {
 
 void bench_window_query(const char* name, SimDuration window) {
   // Fill well past every tier's horizon so the query planner exercises
-  // its fallback logic, then query the trailing window repeatedly.
+  // its fallback logic, then query the trailing window repeatedly. With
+  // no append between them every call after the first is a memo hit, so
+  // this measures the hit path (range search plus memo lookup); the
+  // sliding and cold cases below measure misses.
   constexpr std::size_t kFill = 100'000;
   constexpr std::size_t kOps = 50'000;
   Series series(realistic_policy());
@@ -90,6 +93,80 @@ void bench_window_query(const char* name, SimDuration window) {
   const auto stop = Clock::now();
   Measurement m;
   m.bench = name;
+  m.ops = kOps;
+  m.ns_per_op =
+      std::chrono::duration<double, std::nano>(stop - start).count() / kOps;
+  m.extra = checksum / static_cast<double>(kOps);
+  m.extra_name = "mean";
+  report(m);
+}
+
+/// Series at the lirtss_service retention, filled past every tier.
+Series filled_service_series(std::size_t polls) {
+  Series series(RetentionPolicy::for_span(seconds(600), 2 * kSecond));
+  for (std::size_t i = 0; i < polls; ++i) {
+    series.add(2 * kSecond * static_cast<std::int64_t>(i), sample_value(i));
+  }
+  return series;
+}
+
+constexpr SimDuration kServiceWindows[] = {seconds(20), seconds(300),
+                                           seconds(1800)};
+
+void bench_window_query_sliding() {
+  // The resource manager's traffic: one append per 2 s poll, then the
+  // 20 s, 5 min and 30 min trailing windows asked kAsks times each
+  // before the next poll. The first ask of each window after an append
+  // misses the memo; the rest hit.
+  constexpr std::size_t kFill = 20'000;
+  constexpr std::size_t kPolls = 20'000;
+  constexpr std::size_t kAsks = 4;
+  Series series = filled_service_series(kFill);
+  double checksum = 0.0;
+  std::size_t queries = 0;
+  const auto start = Clock::now();
+  for (std::size_t p = kFill; p < kFill + kPolls; ++p) {
+    const SimTime now = 2 * kSecond * static_cast<std::int64_t>(p);
+    series.add(now, sample_value(p));
+    for (std::size_t ask = 0; ask < kAsks; ++ask) {
+      for (const SimDuration window : kServiceWindows) {
+        checksum += series.query(now - window, now + 1).mean;
+        ++queries;
+      }
+    }
+  }
+  const auto stop = Clock::now();
+  Measurement m;
+  m.bench = "window_query_sliding";
+  m.ops = queries;
+  m.ns_per_op =
+      std::chrono::duration<double, std::nano>(stop - start).count() /
+      static_cast<double>(queries);
+  m.extra = checksum / static_cast<double>(queries);
+  m.extra_name = "mean";
+  report(m);
+}
+
+void bench_window_query_cold() {
+  // Every call asks a window no recent call asked: the three service
+  // windows in turn, each shifted back by a multiple of 32 s (a whole
+  // bucket at every tier) that cycles over 97 values, so no call finds
+  // its bucket range in the memo.
+  constexpr std::size_t kFill = 20'000;
+  constexpr std::size_t kOps = 60'000;
+  const Series series = filled_service_series(kFill);
+  const SimTime now = 2 * kSecond * static_cast<std::int64_t>(kFill);
+  double checksum = 0.0;
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < kOps; ++i) {
+    const SimTime end =
+        now + 1 - seconds(32) * static_cast<std::int64_t>(i % 97);
+    const SimDuration window = kServiceWindows[i % 3];
+    checksum += series.query(end - window, end).mean;
+  }
+  const auto stop = Clock::now();
+  Measurement m;
+  m.bench = "window_query_cold";
   m.ops = kOps;
   m.ns_per_op =
       std::chrono::duration<double, std::nano>(stop - start).count() / kOps;
@@ -168,6 +245,8 @@ int main() {
   bench_series_append();
   bench_window_query("window_query_raw", seconds(60));
   bench_window_query("window_query_downsampled", seconds(3600));
+  bench_window_query_sliding();
+  bench_window_query_cold();
   bench_store_fanout();
   const bool flat = check_footprint_flat();
 

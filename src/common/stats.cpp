@@ -49,11 +49,11 @@ Histogram Histogram::exponential(double start, double factor,
   return Histogram(std::move(bounds));
 }
 
-void Histogram::add(double x) {
+void Histogram::add(double x, std::size_t n) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  ++count_;
-  sum_ += x;
+  counts_[static_cast<std::size_t>(it - bounds_.begin())] += n;
+  count_ += n;
+  sum_ += x * static_cast<double>(n);
 }
 
 double Histogram::percentile(double q) const {

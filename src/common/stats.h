@@ -48,7 +48,11 @@ class Histogram {
   static Histogram exponential(double start, double factor,
                                std::size_t count);
 
-  void add(double x);
+  /// Records `n` observations of `x` with one bucket search: the counts
+  /// (and so percentile()) equal n single adds, bit for bit. sum() grows
+  /// by x * n, which can differ in the last bits from n repeated
+  /// additions of x.
+  void add(double x, std::size_t n = 1);
 
   std::size_t count() const { return count_; }
   double sum() const { return sum_; }

@@ -1,5 +1,6 @@
 #include "history/ring.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace netqos::hist {
@@ -41,9 +42,44 @@ bool RingTier::overlaps(const Bucket& bucket, SimTime begin,
   return bucket.start < end && bucket.start + width_ > begin;
 }
 
+namespace {
+
+/// First age index whose bucket start fails `before`, which must hold on
+/// a prefix of the tier (size() when it holds everywhere).
+template <typename Before>
+std::size_t first_not(const RingTier& tier, Before before) {
+  std::size_t lo = 0;
+  std::size_t hi = tier.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (before(tier.at_unchecked(mid).start)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
+RingTier::Range RingTier::overlap_range(SimTime begin, SimTime end) const {
+  Range range;
+  if (width_ == 0) {
+    range.first = first_not(*this, [&](SimTime s) { return s < begin; });
+  } else {
+    range.first =
+        first_not(*this, [&](SimTime s) { return s + width_ <= begin; });
+  }
+  range.last = std::max(range.first,
+                        first_not(*this, [&](SimTime s) { return s < end; }));
+  return range;
+}
+
 RingTier::Append RingTier::add(SimTime t, double v, bool* evicted) {
   if (evicted != nullptr) *evicted = false;
   const SimTime start = bucket_start(t);
+  ++adds_;
 
   if (size_ != 0) {
     Bucket& newest_bucket = buckets_[(head_ + size_ - 1) % buckets_.size()];

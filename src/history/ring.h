@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -58,6 +59,18 @@ class RingTier {
   /// Bucket by age: index 0 is the oldest retained bucket.
   const Bucket& at(std::size_t index) const;
   const Bucket& newest() const { return at(size_ - 1); }
+  /// at() without the bounds check or the modulo, for scan loops that
+  /// already hold `index < size()`.
+  const Bucket& at_unchecked(std::size_t index) const {
+    std::size_t slot = head_ + index;
+    if (slot >= buckets_.size()) slot -= buckets_.size();
+    return buckets_[slot];
+  }
+
+  /// Appends ever made, merges included. Only add() changes a tier, so
+  /// while this count stands still every bucket keeps its contents and
+  /// its age index.
+  std::uint64_t adds() const { return adds_; }
 
   /// Start time of the oldest retained bucket; nullopt when empty. A
   /// query window beginning at or after this is fully covered.
@@ -66,6 +79,17 @@ class RingTier {
   /// True when the bucket overlaps [begin, end): raw buckets are points,
   /// width tiers cover [start, start + width).
   bool overlaps(const Bucket& bucket, SimTime begin, SimTime end) const;
+
+  /// Age-index range [first, last) of the buckets that overlap
+  /// [begin, end), per overlaps(); first == last when none does. Bucket
+  /// starts strictly increase with age index (add() folds any older
+  /// start into the newest bucket), so the overlapping buckets are
+  /// contiguous and two binary searches find them in O(log size()).
+  struct Range {
+    std::size_t first = 0;
+    std::size_t last = 0;
+  };
+  Range overlap_range(SimTime begin, SimTime end) const;
 
   /// Bytes permanently reserved by this tier: the preallocated bucket
   /// array. Independent of how many samples were ever appended.
@@ -81,6 +105,7 @@ class RingTier {
   std::vector<Bucket> buckets_;  ///< circular storage, never reallocated
   std::size_t head_ = 0;         ///< index of the oldest bucket
   std::size_t size_ = 0;
+  std::uint64_t adds_ = 0;
 };
 
 }  // namespace netqos::hist

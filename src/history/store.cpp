@@ -78,37 +78,34 @@ const RingTier* Series::tier_for(SimTime begin, bool* complete) const {
   return coarsest_nonempty;
 }
 
-WindowSummary Series::query(SimTime begin, SimTime end) const {
-  WindowSummary summary;
-  bool complete = false;
-  const RingTier* tier = tier_for(begin, &complete);
-  if (tier == nullptr) return summary;
-  summary.resolution = tier->width();
-  summary.complete = complete;
+namespace {
 
-  double min = 0.0;
-  double max = 0.0;
+/// Folds the tier's buckets [range.first, range.last) oldest first.
+WindowSummary summarize(const RingTier& tier, RingTier::Range range) {
+  WindowSummary summary;
+  summary.resolution = tier.width();
+  summary.buckets = range.last - range.first;
+  if (range.first == range.last) return summary;
+
+  double min = tier.at_unchecked(range.first).min;
+  double max = tier.at_unchecked(range.first).max;
   double sum = 0.0;
-  std::vector<const Bucket*> hits;
-  for (std::size_t i = 0; i < tier->size(); ++i) {
-    const Bucket& bucket = tier->at(i);
-    if (!tier->overlaps(bucket, begin, end)) continue;
-    if (hits.empty() || bucket.min < min) min = bucket.min;
-    if (hits.empty() || bucket.max > max) max = bucket.max;
+  for (std::size_t i = range.first; i < range.last; ++i) {
+    const Bucket& bucket = tier.at_unchecked(i);
+    if (bucket.min < min) min = bucket.min;
+    if (bucket.max > max) max = bucket.max;
     sum += bucket.sum;
     summary.samples += bucket.count;
-    hits.push_back(&bucket);
   }
-  summary.buckets = hits.size();
   if (summary.samples == 0) return summary;
   summary.min = min;
   summary.max = max;
   summary.mean = sum / static_cast<double>(summary.samples);
 
   // p95 via the shared fixed-bucket Histogram: 32 linear bins spanning
-  // the window's own [min, max]. Bucket means enter count-weighted; on
-  // the raw tier every bucket is a single sample, so this is the exact
-  // per-sample distribution up to bin interpolation.
+  // the window's own [min, max]. Each bucket's mean enters once, weighted
+  // by its sample count; on the raw tier every bucket is a single sample,
+  // so this is the exact per-sample distribution up to bin interpolation.
   if (max <= min) {
     summary.p95 = max;
   } else {
@@ -120,14 +117,46 @@ WindowSummary Series::query(SimTime begin, SimTime end) const {
       bounds.push_back(min + step * static_cast<double>(i));
     }
     Histogram histogram(std::move(bounds));
-    for (const Bucket* bucket : hits) {
-      for (std::size_t c = 0; c < bucket->count; ++c) {
-        histogram.add(bucket->mean());
-      }
+    for (std::size_t i = range.first; i < range.last; ++i) {
+      const Bucket& bucket = tier.at_unchecked(i);
+      histogram.add(bucket.mean(), bucket.count);
     }
     summary.p95 = histogram.percentile(0.95);
   }
   return summary;
+}
+
+}  // namespace
+
+WindowSummary Series::query(SimTime begin, SimTime end) const {
+  bool complete = false;
+  const RingTier* tier = tier_for(begin, &complete);
+  if (tier == nullptr) return {};
+
+  const RingTier::Range range = tier->overlap_range(begin, end);
+  MemoEntry key;
+  key.tier = tier == &raw_
+                 ? 0
+                 : static_cast<std::size_t>(tier - tiers_.data()) + 1;
+  key.adds = tier->adds();
+  key.first = range.first;
+  key.last = range.last;
+
+  Memo& memo = memo_.get();
+  for (const MemoEntry& entry : memo.entries) {
+    if (entry.tier == key.tier && entry.adds == key.adds &&
+        entry.first == key.first && entry.last == key.last) {
+      WindowSummary summary = entry.summary;
+      summary.complete = complete;
+      return summary;
+    }
+  }
+
+  key.summary = summarize(*tier, range);
+  key.summary.complete = complete;
+  memo.entries[memo.next] = key;
+  memo.next = (memo.next + 1) % kMemoEntries;
+  return key.summary;
 }
 
 void Series::materialize_raw(TimeSeries& out) const {
@@ -218,10 +247,15 @@ const Series* HistoryStore::find(const std::string& key) const {
 
 WindowSummary HistoryStore::query(const std::string& key, SimTime begin,
                                   SimTime end) const {
+  if (const Series* entry = find(key)) return query(*entry, begin, end);
   if (queries_ != nullptr) queries_->inc();
-  const Series* entry = find(key);
-  if (entry == nullptr) return {};
-  return entry->query(begin, end);
+  return {};
+}
+
+WindowSummary HistoryStore::query(const Series& entry, SimTime begin,
+                                  SimTime end) const {
+  if (queries_ != nullptr) queries_->inc();
+  return entry.query(begin, end);
 }
 
 std::vector<std::string> HistoryStore::keys() const {

@@ -9,11 +9,22 @@
 // min/mean/max per bucket); queries are answered from the finest tier
 // that still covers the window, so recent windows get raw precision and
 // old windows degrade gracefully instead of disappearing.
+//
+// A query costs O(log n) binary search for the window's bucket range
+// plus O(buckets in window) to fold it, and only the binary search when
+// a series is asked the same window again before its next append: the
+// resource manager re-asks a few trailing windows of every series
+// between poll rounds.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -60,7 +71,10 @@ struct WindowSummary {
   bool complete = false;
 };
 
-/// One series: a raw ring plus the downsample cascade.
+/// One series: a raw ring plus the downsample cascade, and a memo of its
+/// last few query answers (see query()). The memo is allocated on the
+/// first query, is not counted by footprint_bytes(), and starts empty in
+/// a copy.
 class Series {
  public:
   explicit Series(const RetentionPolicy& policy);
@@ -71,6 +85,14 @@ class Series {
   };
   AppendOutcome add(SimTime t, double v);
 
+  /// Summary of [begin, end) from tier_for(begin). The overlapping
+  /// buckets form one age-index range (RingTier::overlap_range), folded
+  /// oldest first; p95 adds each bucket's mean once, weighted by its
+  /// sample count. The last few answers are memoized per series, keyed
+  /// on the answering tier's index, its adds() count and the range: with
+  /// adds() unchanged the range names the very buckets the memoized
+  /// answer was folded from, untouched since, so a hit is bit-identical
+  /// to folding them again. `complete` is recomputed on every call.
   WindowSummary query(SimTime begin, SimTime end) const;
 
   const RingTier& raw() const { return raw_; }
@@ -83,18 +105,60 @@ class Series {
 
   /// Total retained samples across all resolutions (for occupancy gauges).
   std::size_t bucket_count() const;
-  /// Fixed preallocated bytes across all tiers.
+  /// Fixed preallocated bytes across all tiers. Excludes the query memo,
+  /// which is not ring storage and exists only once a series is queried.
   std::size_t footprint_bytes() const;
 
   std::optional<SimTime> last_time() const;
 
  private:
+  /// One memoized answer and the key it is valid for. A default entry
+  /// never matches: a tier that answers is non-empty, so adds() >= 1.
+  struct MemoEntry {
+    std::size_t tier = 0;  ///< 0 = raw_, i + 1 = tiers_[i]
+    std::uint64_t adds = 0;
+    std::size_t first = 0;  ///< age-index range [first, last)
+    std::size_t last = 0;
+    WindowSummary summary;
+  };
+  /// Sized by the traffic: the resource manager asks each series two or
+  /// three trailing windows between appends.
+  static constexpr std::size_t kMemoEntries = 4;
+  struct Memo {
+    std::array<MemoEntry, kMemoEntries> entries;
+    std::size_t next = 0;  ///< round-robin slot to overwrite
+  };
+  /// Owns the memo, allocated on the first query so never-queried series
+  /// pay one pointer. A copy starts empty, so a copied series never
+  /// answers from the original's memo.
+  class MemoHolder {
+   public:
+    MemoHolder() = default;
+    MemoHolder(const MemoHolder& /*other*/) {}
+    MemoHolder& operator=(const MemoHolder& other) {
+      if (this != &other) memo_.reset();
+      return *this;
+    }
+    MemoHolder(MemoHolder&&) noexcept = default;
+    MemoHolder& operator=(MemoHolder&&) noexcept = default;
+    ~MemoHolder() = default;
+
+    Memo& get() {
+      if (!memo_) memo_ = std::make_unique<Memo>();
+      return *memo_;
+    }
+
+   private:
+    std::unique_ptr<Memo> memo_;
+  };
+
   /// Finest tier whose retention still reaches `begin` (falls back to the
   /// coarsest non-empty tier). Nullptr when the series is empty.
   const RingTier* tier_for(SimTime begin, bool* complete) const;
 
   RingTier raw_;
   std::vector<RingTier> tiers_;
+  mutable MemoHolder memo_;
 };
 
 /// Keyed collection of Series, all sharing one retention policy, with
@@ -120,13 +184,27 @@ class HistoryStore {
   /// Windowed query; a summary with samples == 0 when the key is unknown.
   WindowSummary query(const std::string& key, SimTime begin,
                       SimTime end) const;
+  /// Windowed query of a series of this store (from find() or
+  /// for_each_prefixed()), counted like the keyed query.
+  WindowSummary query(const Series& entry, SimTime begin, SimTime end) const;
+
+  /// Calls fn(key, series) for every series whose key starts with
+  /// `prefix`, in key order. Keys sharing a prefix are contiguous in the
+  /// sorted map, so this visits only them and copies no key.
+  template <typename Fn>
+  void for_each_prefixed(std::string_view prefix, Fn&& fn) const {
+    for (auto it = series_.lower_bound(prefix);
+         it != series_.end() && it->first.starts_with(prefix); ++it) {
+      fn(it->first, it->second);
+    }
+  }
 
   std::size_t series_count() const { return series_.size(); }
   std::vector<std::string> keys() const;
 
-  /// Fixed bytes reserved by all series' rings. Grows only when a new
-  /// *series* appears, never with samples appended — the bound the
-  /// duration-invariance tests pin.
+  /// Fixed bytes reserved by all series' rings (query memos excluded).
+  /// Grows only when a new *series* appears, never with samples appended
+  /// — the bound the duration-invariance tests pin.
   std::size_t footprint_bytes() const;
   /// footprint_bytes() for one hypothetical series under this policy.
   std::size_t bytes_per_series() const;
@@ -137,7 +215,7 @@ class HistoryStore {
   Series& series(const std::string& key);
 
   RetentionPolicy policy_;
-  std::map<std::string, Series> series_;
+  std::map<std::string, Series, std::less<>> series_;
 
   obs::Counter* samples_ = nullptr;
   obs::Counter* merges_ = nullptr;

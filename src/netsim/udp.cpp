@@ -31,21 +31,24 @@ bool UdpStack::send(Ipv4Address dst, std::uint16_t dst_port,
                     std::size_t padding) {
   if (dst == ip_) {
     // Loopback: deliver locally without generating wire traffic, after a
-    // small in-kernel scheduling delay.
-    Ipv4Packet packet;
-    packet.src = ip_;
-    packet.dst = dst;
-    packet.udp.src_port = src_port;
-    packet.udp.dst_port = dst_port;
-    packet.udp.payload = std::move(payload);
-    packet.udp.padding = padding;
+    // small in-kernel scheduling delay. The event captures only what the
+    // packet needs beyond this stack's own address, so it fits
+    // EventCallback's inline buffer and schedules without allocating.
     ++stats_.datagrams_sent;
-    sim_.schedule_after(10 * kMicrosecond,
-                        [this, packet = std::move(packet)]() mutable {
-                          deliver(packet);
-                          sim_.buffer_pool().release(
-                              std::move(packet.udp.payload));
-                        });
+    auto loopback = [this, payload = std::move(payload), padding, src_port,
+                     dst_port]() mutable {
+      Ipv4Packet packet;
+      packet.src = ip_;
+      packet.dst = ip_;
+      packet.udp.src_port = src_port;
+      packet.udp.dst_port = dst_port;
+      packet.udp.payload = std::move(payload);
+      packet.udp.padding = padding;
+      deliver(packet);
+      sim_.buffer_pool().release(std::move(packet.udp.payload));
+    };
+    static_assert(EventCallback::kStoredInline<decltype(loopback)>);
+    sim_.schedule_after(10 * kMicrosecond, std::move(loopback));
     return true;
   }
   const auto dst_mac = arp_.resolve(dst);

@@ -1,7 +1,9 @@
 #include "query/engine.h"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
+#include <optional>
+#include <string_view>
 
 #include "history/store.h"
 
@@ -55,7 +57,7 @@ void merge_into(WindowRow& into, const hist::WindowSummary& summary) {
   into.samples += static_cast<std::uint32_t>(summary.samples);
 }
 
-constexpr const char* kInterfacePrefix = "if:";
+constexpr std::string_view kInterfacePrefix = "if:";
 
 }  // namespace
 
@@ -71,35 +73,21 @@ WindowResponse QueryEngine::window(const WindowRequest& request,
 
   switch (request.group) {
     case GroupBy::kInterface:
-      interface_rows(request.selector, response.begin, response.end,
-                     response.rows);
+      interface_window_rows(monitor_.stats_db().history(), request.selector,
+                            response.begin, response.end, response.rows);
       break;
     case GroupBy::kPath:
       path_rows(request.selector, response.begin, response.end,
                 response.rows);
       break;
     case GroupBy::kHost:
-      host_rows(request.selector, response.begin, response.end,
-                response.rows);
+      host_window_rows(monitor_.stats_db().history(), request.selector,
+                       response.begin, response.end, response.rows);
       break;
   }
   std::sort(response.rows.begin(), response.rows.end(),
             [](const WindowRow& a, const WindowRow& b) { return a.key < b.key; });
   return response;
-}
-
-void QueryEngine::interface_rows(const std::string& selector, SimTime begin,
-                                 SimTime end,
-                                 std::vector<WindowRow>& rows) const {
-  const hist::HistoryStore& store = monitor_.stats_db().history();
-  for (const std::string& key : store.keys()) {
-    if (!key.starts_with(kInterfacePrefix) || !selected(key, selector)) {
-      continue;
-    }
-    const hist::WindowSummary summary = store.query(key, begin, end);
-    if (summary.samples == 0) continue;
-    rows.push_back(row_from_summary(key, summary));
-  }
 }
 
 void QueryEngine::path_rows(const std::string& selector, SimTime begin,
@@ -116,28 +104,49 @@ void QueryEngine::path_rows(const std::string& selector, SimTime begin,
   }
 }
 
-void QueryEngine::host_rows(const std::string& selector, SimTime begin,
-                            SimTime end, std::vector<WindowRow>& rows) const {
-  const hist::HistoryStore& store = monitor_.stats_db().history();
-  std::map<std::string, WindowRow> hosts;
-  for (const std::string& key : store.keys()) {
-    if (!key.starts_with(kInterfacePrefix)) continue;
-    // "if:<node>/<ifDescr>" — the node is the host grouping key.
-    const std::size_t name_begin = std::string(kInterfacePrefix).size();
-    const std::size_t slash = key.find('/', name_begin);
-    if (slash == std::string::npos) continue;
-    const std::string node = key.substr(name_begin, slash - name_begin);
-    const std::string host_key = "host:" + node;
-    if (!selected(host_key, selector)) continue;
-    const hist::WindowSummary summary = store.query(key, begin, end);
-    auto [it, inserted] = hosts.try_emplace(host_key);
-    if (inserted) it->second.key = host_key;
-    merge_into(it->second, summary);
-  }
-  for (auto& [key, row] : hosts) {
-    if (row.samples == 0) continue;
-    rows.push_back(std::move(row));
-  }
+void interface_window_rows(const hist::HistoryStore& store,
+                           const std::string& selector, SimTime begin,
+                           SimTime end, std::vector<WindowRow>& rows) {
+  store.for_each_prefixed(
+      kInterfacePrefix,
+      [&](const std::string& key, const hist::Series& series) {
+        if (!selected(key, selector)) return;
+        const hist::WindowSummary summary = store.query(series, begin, end);
+        if (summary.samples == 0) return;
+        rows.push_back(row_from_summary(key, summary));
+      });
+}
+
+void host_window_rows(const hist::HistoryStore& store,
+                      const std::string& selector, SimTime begin,
+                      SimTime end, std::vector<WindowRow>& rows) {
+  // "if:<node>/<ifDescr>" — the node is the host grouping key. Every key
+  // of one node starts with "if:<node>/", so a node's keys are
+  // contiguous in key order and each host row is folded in one run.
+  const std::size_t first = rows.size();
+  std::optional<std::string_view> node;  // node of the current run
+  bool wanted = false;                   // rows.back() is its row
+  store.for_each_prefixed(
+      kInterfacePrefix,
+      [&](const std::string& key, const hist::Series& series) {
+        const std::string_view name =
+            std::string_view(key).substr(kInterfacePrefix.size());
+        const std::size_t slash = name.find('/');
+        if (slash == std::string_view::npos) return;
+        if (name.substr(0, slash) != node) {
+          node = name.substr(0, slash);
+          std::string host_key = "host:";
+          host_key += *node;
+          wanted = selected(host_key, selector);
+          if (wanted) rows.emplace_back().key = std::move(host_key);
+        }
+        if (wanted) merge_into(rows.back(), store.query(series, begin, end));
+      });
+  // A host with no sample in the window gets no row.
+  const auto empty = [](const WindowRow& row) { return row.samples == 0; };
+  rows.erase(std::remove_if(rows.begin() + static_cast<std::ptrdiff_t>(first),
+                            rows.end(), empty),
+             rows.end());
 }
 
 HealthResponse QueryEngine::health(SimTime now) const {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "history/store.h"
 #include "monitor/monitor.h"
 #include "monitor/qos.h"
 #include "query/proto.h"
@@ -59,11 +60,7 @@ class QueryEngine {
   const mon::NetworkMonitor& monitor() const { return monitor_; }
 
  private:
-  void interface_rows(const std::string& selector, SimTime begin,
-                      SimTime end, std::vector<WindowRow>& rows) const;
   void path_rows(const std::string& selector, SimTime begin, SimTime end,
-                 std::vector<WindowRow>& rows) const;
-  void host_rows(const std::string& selector, SimTime begin, SimTime end,
                  std::vector<WindowRow>& rows) const;
 
   const mon::NetworkMonitor& monitor_;
@@ -71,5 +68,17 @@ class QueryEngine {
   const mon::PredictiveDetector* predictive_ = nullptr;
   ProbeStatusProvider probe_status_;
 };
+
+/// The store-level halves of QueryEngine::window's interface and host
+/// groupings, over any store keyed "if:<node>/<ifDescr>": they append one
+/// row per selected "if:" series (interface) or node (host, members
+/// merged in key order; keys without a '/' are skipped). Series with no
+/// samples in [begin, end) add no row. QueryEngine::window sorts the rows.
+void interface_window_rows(const hist::HistoryStore& store,
+                           const std::string& selector, SimTime begin,
+                           SimTime end, std::vector<WindowRow>& rows);
+void host_window_rows(const hist::HistoryStore& store,
+                      const std::string& selector, SimTime begin,
+                      SimTime end, std::vector<WindowRow>& rows);
 
 }  // namespace netqos::query

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace netqos {
 namespace {
@@ -139,6 +140,24 @@ TEST(Histogram, PercentileEmptyAndOverflow) {
   h.add(100.0);                        // only the overflow bucket
   // Overflow clamps to the largest finite bound.
   EXPECT_DOUBLE_EQ(h.percentile(0.99), 2.0);
+}
+
+TEST(Histogram, WeightedAddMatchesRepeatedAdds) {
+  Histogram weighted({1.0, 2.5, 4.0, 8.0});
+  Histogram repeated({1.0, 2.5, 4.0, 8.0});
+  const std::pair<double, std::size_t> observations[] = {
+      {0.3, 30}, {2.5, 1}, {3.1, 7}, {9.9, 2}, {0.7, 0}};
+  for (const auto& [x, n] : observations) {
+    weighted.add(x, n);
+    for (std::size_t i = 0; i < n; ++i) repeated.add(x);
+  }
+  EXPECT_EQ(weighted.count(), repeated.count());
+  EXPECT_EQ(weighted.bucket_counts(), repeated.bucket_counts());
+  for (const double q : {0.0, 0.5, 0.9, 0.95, 0.99, 1.0}) {
+    EXPECT_EQ(weighted.percentile(q), repeated.percentile(q)) << q;
+  }
+  // The weighted sum is x * n per call.
+  EXPECT_DOUBLE_EQ(weighted.sum(), 0.3 * 30 + 2.5 + 3.1 * 7 + 9.9 * 2);
 }
 
 }  // namespace

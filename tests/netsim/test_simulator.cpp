@@ -4,8 +4,11 @@
 
 #include <array>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "netsim/packet.h"
+#include "netsim/udp.h"
 
 namespace netqos::sim {
 namespace {
@@ -238,6 +241,79 @@ TEST(Simulator, PerHopFrameCapturesAreStoredInline) {
   };
   static_assert(EventCallback::kStoredInline<Transmit>);
   static_assert(EventCallback::kStoredInline<Carry>);
+}
+
+TEST(Simulator, LoopbackDatagramCaptureIsStoredInline) {
+  // The capture shape of UdpStack::send's loopback event (stack, payload,
+  // padding, source and destination port).
+  struct Loopback {
+    void* stack;
+    Bytes payload;
+    std::size_t padding;
+    std::uint16_t src_port;
+    std::uint16_t dst_port;
+    void operator()() {}
+  };
+  static_assert(EventCallback::kStoredInline<Loopback>);
+}
+
+class NoArp : public ArpResolver {
+ public:
+  std::optional<MacAddress> resolve(Ipv4Address /*ip*/) const override {
+    return std::nullopt;
+  }
+};
+
+TEST(Simulator, LoopbackDatagramArrivesAfterTenMicrosecondsWithPayload) {
+  Simulator sim;
+  NoArp arp;
+  const Ipv4Address ip = Ipv4Address::parse("10.0.0.7");
+  int wire_frames = 0;
+  UdpStack stack(sim, ip, MacAddress::from_id(7), arp, [&](Frame) {
+    ++wire_frames;
+    return true;
+  });
+  std::vector<SimTime> arrivals;
+  std::vector<Ipv4Packet> packets;
+  ASSERT_TRUE(stack.bind(161, [&](const Ipv4Packet& packet) {
+    arrivals.push_back(sim.now());
+    packets.push_back(packet);
+  }));
+
+  sim.schedule_at(seconds(1), [&] {
+    Bytes first = sim.buffer_pool().acquire();
+    first.assign({1, 2, 3});
+    ASSERT_TRUE(stack.send(ip, 161, 50000, std::move(first), 40));
+    Bytes second = sim.buffer_pool().acquire();
+    second.assign({9});
+    ASSERT_TRUE(stack.send(ip, 161, 50001, std::move(second)));
+    Bytes unbound = sim.buffer_pool().acquire();
+    unbound.assign({5, 5});
+    ASSERT_TRUE(stack.send(ip, 162, 50002, std::move(unbound)));
+  });
+  sim.run_all();
+
+  EXPECT_EQ(wire_frames, 0);
+  ASSERT_EQ(packets.size(), 2u);
+  for (const SimTime t : arrivals) {
+    EXPECT_EQ(t, seconds(1) + 10 * kMicrosecond);
+  }
+  // Send order is delivery order.
+  EXPECT_EQ(packets[0].src, ip);
+  EXPECT_EQ(packets[0].dst, ip);
+  EXPECT_EQ(packets[0].udp.src_port, 50000);
+  EXPECT_EQ(packets[0].udp.dst_port, 161);
+  EXPECT_EQ(packets[0].udp.payload, (Bytes{1, 2, 3}));
+  EXPECT_EQ(packets[0].udp.padding, 40u);
+  EXPECT_EQ(packets[1].udp.src_port, 50001);
+  EXPECT_EQ(packets[1].udp.payload, (Bytes{9}));
+  EXPECT_EQ(packets[1].udp.padding, 0u);
+  EXPECT_EQ(stack.stats().datagrams_sent, 3u);
+  EXPECT_EQ(stack.stats().datagrams_received, 2u);
+  EXPECT_EQ(stack.stats().no_handler_drops, 1u);
+  // Every loopback payload went back to the pool, delivered or dropped.
+  EXPECT_EQ(sim.buffer_pool().stats().acquires, 3u);
+  EXPECT_EQ(sim.buffer_pool().stats().releases, 3u);
 }
 
 TEST(Simulator, QueuedFramesReleasePooledPayloadsAtTeardown) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/lirtss.h"
 #include "history/store.h"
 #include "monitor/qos.h"
+#include "obs/metrics.h"
 #include "query/engine.h"
 
 namespace netqos::query {
@@ -179,6 +184,195 @@ TEST(QueryEngine, EmptyMonitorYieldsEmptyRows) {
   const HealthResponse health = engine.health(0);
   EXPECT_EQ(health.paths.size(), 1u);
   EXPECT_FALSE(health.paths[0].complete);
+}
+
+// The interface and host groupings as they were first written: a copy
+// of every store key per request, a per-key host string and a map of
+// host rows. The store-level groupings must return exactly these rows.
+bool reference_selected(const std::string& key, const std::string& selector) {
+  return selector.empty() || key.find(selector) != std::string::npos;
+}
+
+WindowRow reference_row(const std::string& key,
+                        const hist::WindowSummary& summary) {
+  WindowRow row;
+  row.key = key;
+  row.samples = static_cast<std::uint32_t>(summary.samples);
+  row.min = summary.min;
+  row.mean = summary.mean;
+  row.max = summary.max;
+  row.p95 = summary.p95;
+  row.resolution = summary.resolution;
+  row.complete = summary.complete;
+  return row;
+}
+
+std::vector<WindowRow> reference_interface_rows(
+    const hist::HistoryStore& store, const std::string& selector,
+    SimTime begin, SimTime end) {
+  std::vector<WindowRow> rows;
+  for (const std::string& key : store.keys()) {
+    if (!key.starts_with("if:") || !reference_selected(key, selector)) {
+      continue;
+    }
+    const hist::WindowSummary summary = store.query(key, begin, end);
+    if (summary.samples == 0) continue;
+    rows.push_back(reference_row(key, summary));
+  }
+  return rows;
+}
+
+std::vector<WindowRow> reference_host_rows(const hist::HistoryStore& store,
+                                           const std::string& selector,
+                                           SimTime begin, SimTime end) {
+  std::map<std::string, WindowRow> hosts;
+  for (const std::string& key : store.keys()) {
+    if (!key.starts_with("if:")) continue;
+    const std::size_t slash = key.find('/', 3);
+    if (slash == std::string::npos) continue;
+    const std::string host_key = "host:" + key.substr(3, slash - 3);
+    if (!reference_selected(host_key, selector)) continue;
+    const hist::WindowSummary summary = store.query(key, begin, end);
+    auto [it, inserted] = hosts.try_emplace(host_key);
+    if (inserted) it->second.key = host_key;
+    WindowRow& into = it->second;
+    if (summary.samples == 0) continue;
+    if (into.samples == 0) {
+      into = reference_row(host_key, summary);
+      continue;
+    }
+    const double total = static_cast<double>(into.samples) +
+                         static_cast<double>(summary.samples);
+    into.mean = (into.mean * static_cast<double>(into.samples) +
+                 summary.mean * static_cast<double>(summary.samples)) /
+                total;
+    into.min = std::min(into.min, summary.min);
+    into.max = std::max(into.max, summary.max);
+    into.p95 = std::max(into.p95, summary.p95);
+    into.resolution = std::max(into.resolution, summary.resolution);
+    into.complete = into.complete && summary.complete;
+    into.samples += static_cast<std::uint32_t>(summary.samples);
+  }
+  std::vector<WindowRow> rows;
+  for (auto& [key, row] : hosts) {
+    if (row.samples != 0) rows.push_back(row);
+  }
+  return rows;
+}
+
+void expect_same_rows(std::vector<WindowRow> got,
+                      const std::vector<WindowRow>& want,
+                      const std::string& context) {
+  std::sort(got.begin(), got.end(),
+            [](const WindowRow& a, const WindowRow& b) { return a.key < b.key; });
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(context + " row " + want[i].key);
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].samples, want[i].samples);
+    EXPECT_EQ(got[i].min, want[i].min);
+    EXPECT_EQ(got[i].mean, want[i].mean);
+    EXPECT_EQ(got[i].max, want[i].max);
+    EXPECT_EQ(got[i].p95, want[i].p95);
+    EXPECT_EQ(got[i].resolution, want[i].resolution);
+    EXPECT_EQ(got[i].complete, want[i].complete);
+  }
+}
+
+TEST(StoreGrouping, MatchesPerKeyReferenceAroundForeignKeys) {
+  hist::RetentionPolicy policy;
+  policy.raw_capacity = 20;
+  policy.tiers = {{10 * kSecond, 8}};
+  hist::HistoryStore store(policy);
+  obs::MetricsRegistry registry;
+  store.attach_metrics(registry);
+  // Non-"if:" keys sort before ("conn:", "if", "hello") and after
+  // ("ig", "path:") the "if:" block; "if:orphan" has no '/' and is
+  // skipped by the host grouping. Node "a" sits between "a-b" and "a0"
+  // in key order, and "quiet" has nothing inside the late windows.
+  const std::vector<std::string> keys = {
+      "conn:1",        "hello",       "if",          "if:orphan",
+      "if:a-b/eth0",   "if:a/eth0",   "if:a/eth1",   "if:a0/x",
+      "if:sw0/port1",  "if:sw0/port2", "if:sw0/port3", "if:quiet/eth0",
+      "ig",            "path:S1|N1:used"};
+  for (int i = 0; i < 60; ++i) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      if (keys[k] == "if:quiet/eth0" && i > 5) continue;
+      if (keys[k] == "if:a/eth1" && i % 3 == 1) continue;
+      store.append(keys[k], seconds(2 * i),
+                   static_cast<double>((i * 37 + k * 11) % 53) + 0.5 * k);
+    }
+  }
+  const obs::Counter* queries =
+      registry.find_counter("netqos_history_queries_total");
+  ASSERT_NE(queries, nullptr);
+
+  const std::vector<std::pair<SimTime, SimTime>> windows = {
+      {0, seconds(120)},            {seconds(100), seconds(120)},
+      {seconds(30), seconds(90)},   {seconds(119), seconds(119)},
+      {seconds(200), seconds(300)}};
+  for (const auto& [begin, end] : windows) {
+    for (const std::string selector :
+         {"", "sw0", "a", "host:a-", "eth0", "t:a/", "orphan", "nomatch"}) {
+      const std::string context = selector + " @" + std::to_string(begin) +
+                                  ".." + std::to_string(end);
+      std::uint64_t before = queries->value();
+      const std::vector<WindowRow> want_if =
+          reference_interface_rows(store, selector, begin, end);
+      const std::uint64_t reference_queries = queries->value() - before;
+      before = queries->value();
+      std::vector<WindowRow> got_if;
+      interface_window_rows(store, selector, begin, end, got_if);
+      EXPECT_EQ(queries->value() - before, reference_queries) << context;
+      expect_same_rows(got_if, want_if, "interface " + context);
+
+      before = queries->value();
+      const std::vector<WindowRow> want_host =
+          reference_host_rows(store, selector, begin, end);
+      const std::uint64_t reference_host_queries = queries->value() - before;
+      before = queries->value();
+      std::vector<WindowRow> got_host;
+      host_window_rows(store, selector, begin, end, got_host);
+      EXPECT_EQ(queries->value() - before, reference_host_queries) << context;
+      expect_same_rows(got_host, want_host, "host " + context);
+    }
+  }
+
+  // Spot-check the grouping itself on the whole run.
+  std::vector<WindowRow> hosts;
+  host_window_rows(store, "", 0, seconds(120), hosts);
+  std::vector<std::string> host_keys;
+  for (const WindowRow& row : hosts) host_keys.push_back(row.key);
+  std::sort(host_keys.begin(), host_keys.end());
+  EXPECT_EQ(host_keys,
+            (std::vector<std::string>{"host:a", "host:a-b", "host:a0",
+                                      "host:quiet", "host:sw0"}));
+}
+
+TEST_F(QueryEngineTest, InterfaceAndHostGroupsMatchPerKeyReference) {
+  QueryEngine engine(bed_.monitor());
+  const hist::HistoryStore& store = bed_.monitor().stats_db().history();
+  const SimTime now = bed_.simulator().now();
+  for (const std::string selector : {"", "sw0", "S1", "eth", "host:N"}) {
+    for (const SimTime begin : {SimTime{0}, now - 20 * kSecond}) {
+      WindowRequest request;
+      request.selector = selector;
+      request.begin = begin;
+      request.group = GroupBy::kInterface;
+      const WindowResponse interfaces = engine.window(request, now);
+      expect_same_rows(interfaces.rows,
+                       reference_interface_rows(store, selector,
+                                                interfaces.begin,
+                                                interfaces.end),
+                       "interface " + selector);
+      request.group = GroupBy::kHost;
+      const WindowResponse hosts = engine.window(request, now);
+      expect_same_rows(hosts.rows,
+                       reference_host_rows(store, selector, hosts.begin,
+                                           hosts.end),
+                       "host " + selector);
+    }
+  }
 }
 
 }  // namespace
