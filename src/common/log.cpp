@@ -39,7 +39,9 @@ void Log::write(LogLevel level, const char* component,
   // The NETQOS_LOG* macros already filtered on the level; no re-check.
   std::string line;
   if (g_time_source) {
-    line += "[" + format_time(g_time_source()) + "] ";
+    line += "[";
+    line += format_time(g_time_source());
+    line += "] ";
   }
   if (component != nullptr) {
     line += "[";

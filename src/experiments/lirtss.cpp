@@ -4,6 +4,11 @@
 
 namespace netqos::exp {
 
+// Out of line so callers that take the defaults do not inline the
+// TestbedOptions{} construction (GCC 12 then reports a false
+// -Wmaybe-uninitialized on `retention` in every such caller).
+LirtssTestbed::LirtssTestbed() : LirtssTestbed(TestbedOptions{}) {}
+
 LirtssTestbed::LirtssTestbed(TestbedOptions options)
     : specfile_(options.spec_text.empty()
                     ? spec::lirtss_testbed()

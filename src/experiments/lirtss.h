@@ -51,7 +51,8 @@ struct TestbedOptions {
 
 class LirtssTestbed {
  public:
-  explicit LirtssTestbed(TestbedOptions options = {});
+  LirtssTestbed();
+  explicit LirtssTestbed(TestbedOptions options);
 
   sim::Simulator& simulator() { return simulator_; }
   sim::Network& network() { return *network_; }

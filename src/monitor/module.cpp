@@ -11,10 +11,6 @@ Module::~Module() {
   if (host_ != nullptr) host_->detach(*this);
 }
 
-void Module::count_external_sample() {
-  if (host_ != nullptr) host_->count_sample(*this);
-}
-
 ModuleHost::ModuleHost(ModuleCore& core, obs::MetricsRegistry& metrics,
                        std::string station)
     : core_(core), metrics_(metrics), station_(std::move(station)) {}
@@ -79,15 +75,6 @@ bool ModuleHost::detach(Module& module) {
   module.host_ = nullptr;
   entries_.erase(it);
   return true;
-}
-
-void ModuleHost::count_sample(Module& module) {
-  for (const Entry& entry : entries_) {
-    if (entry.module == &module) {
-      entry.samples->inc();
-      return;
-    }
-  }
 }
 
 template <typename Fn>

@@ -148,11 +148,6 @@ class Module {
   /// Self-description lines for query/CLI visibility.
   virtual std::vector<ModuleNote> notes() const { return {}; }
 
- protected:
-  /// Counts an out-of-band sample (e.g. a latency probe echo that does
-  /// not flow through the host's dispatch) in this module's telemetry.
-  void count_external_sample();
-
  private:
   friend class ModuleHost;
   std::string name_;
@@ -240,7 +235,6 @@ class ModuleHost {
   };
 
   Entry& register_module(Module& module, std::unique_ptr<Module> owned);
-  void count_sample(Module& module);
   /// Runs `fn` under the isolation contract: an exception is charged to
   /// the module's error counter and logged, never propagated.
   template <typename Fn>

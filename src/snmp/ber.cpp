@@ -1,7 +1,5 @@
 #include "snmp/ber.h"
 
-#include "snmp/ber_view.h"
-
 namespace netqos::snmp::ber {
 namespace {
 
@@ -219,16 +217,6 @@ std::uint8_t read_header(ByteReader& in, std::size_t& length) {
   return tag;
 }
 
-std::size_t expect_header(ByteReader& in, std::uint8_t tag) {
-  std::size_t length = 0;
-  const std::uint8_t got = read_header(in, length);
-  if (got != tag) {
-    throw BerError("expected tag " + std::to_string(tag) + ", got " +
-                   std::to_string(got));
-  }
-  return length;
-}
-
 std::int64_t read_integer_content(ByteReader& in, std::size_t length) {
   if (length == 0 || length > 8) {
     throw BerError("bad INTEGER length " + std::to_string(length));
@@ -253,63 +241,6 @@ std::uint64_t read_unsigned_content(ByteReader& in, std::size_t length) {
     value = (value << 8) | byte;
   }
   return value;
-}
-
-Oid read_oid_content(ByteReader& in, std::size_t length) {
-  return OidView{in.get_bytes(length)}.to_oid();
-}
-
-SnmpValue read_value(ByteReader& in) {
-  std::size_t length = 0;
-  const std::uint8_t tag = read_header(in, length);
-  switch (tag) {
-    case kTagNull:
-      in.get_bytes(length);
-      return Null{};
-    case kTagInteger:
-      return read_integer_content(in, length);
-    case kTagOctetString:
-      return in.get_string(length);
-    case kTagOid:
-      return read_oid_content(in, length);
-    case kTagIpAddress: {
-      if (length != 4) throw BerError("IpAddress must be 4 octets");
-      return IpAddressValue{in.get_u32()};
-    }
-    case kTagCounter32:
-      return Counter32{
-          static_cast<std::uint32_t>(read_unsigned_content(in, length))};
-    case kTagGauge32:
-      return Gauge32{
-          static_cast<std::uint32_t>(read_unsigned_content(in, length))};
-    case kTagTimeTicks:
-      return TimeTicks{
-          static_cast<std::uint32_t>(read_unsigned_content(in, length))};
-    case kTagCounter64:
-      return Counter64{read_unsigned_content(in, length)};
-    case 0x80:
-    case 0x81:
-    case 0x82:
-      in.get_bytes(length);
-      return static_cast<VarBindException>(tag);
-    default:
-      throw BerError("unsupported value tag " + std::to_string(tag));
-  }
-}
-
-std::int64_t read_integer(ByteReader& in) {
-  const std::size_t length = expect_header(in, kTagInteger);
-  return read_integer_content(in, length);
-}
-
-std::string read_octet_string(ByteReader& in) {
-  const std::size_t length = expect_header(in, kTagOctetString);
-  return in.get_string(length);
-}
-
-Oid read_oid(ByteReader& in) {
-  const std::size_t length = expect_header(in, kTagOid);
-  return read_oid_content(in, length);
 }
 
 }  // namespace netqos::snmp::ber

@@ -6,6 +6,12 @@
 // SEQUENCE, the SMI application types (IpAddress, Counter32, Gauge32,
 // TimeTicks, Counter64), context-tagged PDUs, and the v2c varbind
 // exceptions.
+//
+// This header holds the encoder and the three reading primitives the
+// decoder is built from (TLV header, INTEGER and unsigned content). The
+// decoder itself is ber_view.h: BerReader walks TLVs, OidView/ValueView
+// interpret their content, and ValueView::to_value is the one place a
+// tag becomes an SnmpValue.
 #pragma once
 
 #include <cstdint>
@@ -68,24 +74,13 @@ std::size_t octet_string_size(const std::string& value);
 std::size_t oid_size(const Oid& oid);
 std::size_t value_size(const SnmpValue& value);
 
-/// Reads a TLV header; returns the tag and sets `length`.
+/// Reads a TLV header; returns the tag and sets `length`. Throws
+/// BerError when the declared length overruns the bytes left in `in`.
 std::uint8_t read_header(ByteReader& in, std::size_t& length);
-/// Reads a header and demands a specific tag.
-std::size_t expect_header(ByteReader& in, std::uint8_t tag);
 
+/// Decode `length` content octets of an INTEGER / an unsigned SMI type.
 std::int64_t read_integer_content(ByteReader& in, std::size_t length);
 std::uint64_t read_unsigned_content(ByteReader& in, std::size_t length);
-Oid read_oid_content(ByteReader& in, std::size_t length);
-
-/// Reads one complete value TLV of any supported type.
-SnmpValue read_value(ByteReader& in);
-
-/// Reads an INTEGER TLV.
-std::int64_t read_integer(ByteReader& in);
-/// Reads an OCTET STRING TLV.
-std::string read_octet_string(ByteReader& in);
-/// Reads an OBJECT IDENTIFIER TLV.
-Oid read_oid(ByteReader& in);
 
 }  // namespace ber
 }  // namespace netqos::snmp

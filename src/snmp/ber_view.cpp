@@ -173,7 +173,7 @@ SnmpValue ValueView::to_value() const {
     case ber::kTagOctetString:
       return reader.get_string(content.size());
     case ber::kTagOid:
-      return ber::read_oid_content(reader, content.size());
+      return OidView{content}.to_oid();
     case ber::kTagIpAddress: {
       if (content.size() != 4) throw BerError("IpAddress must be 4 octets");
       return IpAddressValue{reader.get_u32()};
@@ -219,7 +219,8 @@ MessageHeadView decode_message_head(std::span<const std::uint8_t> wire) {
   }
   head.pdu_tag = body.tag;
   if (head.pdu_tag == static_cast<std::uint8_t>(PduType::kTrapV1)) {
-    return head;  // trap bodies are parsed by the materializing decoder
+    head.trap_body = BerReader(body.content);
+    return head;
   }
 
   BerReader pdu(body.content);

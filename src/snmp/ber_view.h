@@ -1,14 +1,15 @@
-// Zero-copy BER views for the SNMP decode hot path.
+// Zero-copy BER views: the one SNMP decoder.
 //
-// decode_message() materializes every OID and value into owning
-// structures; fine for control traffic, wasteful for the poll loop that
-// only needs to route a response and sum a handful of counters. This
-// layer parses the same wire format into spans over the received
-// datagram: BerReader walks TLVs in place, OidView/ValueView interpret
+// Every SNMP datagram is parsed here, into spans over the received
+// bytes: BerReader walks TLVs in place, OidView/ValueView interpret
 // content bytes on demand, and decode_message_head() exposes the
 // envelope (version, community, PDU ids) without touching the varbinds.
-// Nothing here owns memory — views are valid only while the underlying
-// buffer is alive, i.e. within the packet delivery callback.
+// The poll loop reads responses through these views directly;
+// decode_message() (pdu.h) materializes a whole Message on top of them
+// for the agent, the trap listener and tests. Nothing here owns memory
+// except the sanctioned bridges to_oid / to_value / decode_varbinds —
+// views are valid only while the underlying buffer is alive, i.e.
+// within the packet delivery callback.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,7 @@ class BerReader {
   explicit BerReader(std::span<const std::uint8_t> data) : in_(data) {}
 
   /// Reads the next TLV; throws BerError / BufferUnderflow on malformed
-  /// or truncated input, exactly like the materializing decoder.
+  /// or truncated input.
   Tlv read_tlv();
   /// Reads the next TLV and demands a specific tag; returns its content.
   std::span<const std::uint8_t> expect_tlv(std::uint8_t tag);
@@ -77,7 +78,7 @@ struct ValueView {
   std::int64_t to_integer() const;
   /// OCTET STRING content as a borrowed view; throws on other tags.
   std::string_view to_text() const;
-  /// Materializes the value (same result as ber::read_value).
+  /// Materializes the value; the decoder's only tag-to-SnmpValue switch.
   SnmpValue to_value() const;
 };
 
@@ -87,8 +88,10 @@ struct VarBindView {
 };
 
 /// The message envelope with the varbind list left unparsed. For a v1
-/// Trap-PDU only `version`, `community` and `pdu_tag` are meaningful;
-/// `varbinds` is empty (trap bodies keep the materializing decoder).
+/// Trap-PDU only `version`, `community` and `pdu_tag` are meaningful,
+/// `varbinds` is empty and `trap_body` holds the unparsed Trap-PDU body
+/// (enterprise, agent-addr, generic/specific trap, time-stamp, varbind
+/// list; RFC 1157 §4.1.6).
 struct MessageHeadView {
   SnmpVersion version = SnmpVersion::kV2c;
   std::string_view community;
@@ -97,6 +100,7 @@ struct MessageHeadView {
   ErrorStatus error_status = ErrorStatus::kNoError;
   std::int32_t error_index = 0;
   BerReader varbinds;
+  BerReader trap_body;
 };
 
 /// Parses the envelope of a complete SNMP message without copying.

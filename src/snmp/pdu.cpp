@@ -1,6 +1,7 @@
 #include "snmp/pdu.h"
 
 #include "snmp/ber.h"
+#include "snmp/ber_view.h"
 
 namespace netqos::snmp {
 
@@ -62,67 +63,9 @@ std::size_t trap_v1_content_size(const TrapV1Pdu& trap,
          ber::header_size(vbl_content) + vbl_content;
 }
 
-TrapV1Pdu decode_trap_v1(ByteReader& in) {
-  TrapV1Pdu trap;
-  trap.enterprise = ber::read_oid(in);
-  std::size_t addr_len = ber::expect_header(in, ber::kTagIpAddress);
-  if (addr_len != 4) throw BerError("agent-addr must be 4 octets");
-  trap.agent_addr = in.get_u32();
-  trap.generic_trap = static_cast<GenericTrap>(ber::read_integer(in));
-  trap.specific_trap = static_cast<std::int32_t>(ber::read_integer(in));
-  const std::size_t ticks_len = ber::expect_header(in, ber::kTagTimeTicks);
-  trap.time_stamp_ticks =
-      static_cast<std::uint32_t>(ber::read_unsigned_content(in, ticks_len));
-
-  const std::size_t vbl_len = ber::expect_header(in, ber::kTagSequence);
-  const std::size_t end = in.position() + vbl_len;
-  while (in.position() < end) {
-    ber::expect_header(in, ber::kTagSequence);
-    VarBind vb;
-    vb.oid = ber::read_oid(in);
-    vb.value = ber::read_value(in);
-    trap.varbinds.push_back(std::move(vb));
-  }
-  return trap;
-}
-
-bool is_pdu_tag(std::uint8_t tag) {
-  switch (static_cast<PduType>(tag)) {
-    case PduType::kGetRequest:
-    case PduType::kGetNextRequest:
-    case PduType::kGetResponse:
-    case PduType::kSetRequest:
-    case PduType::kGetBulkRequest:
-    case PduType::kSnmpV2Trap:
-      return true;
-    case PduType::kTrapV1:
-      return false;  // handled separately: its body is not a regular PDU
-  }
-  return false;
-}
-
-Pdu decode_pdu(ByteReader& in) {
-  std::size_t pdu_len = 0;
-  const std::uint8_t tag = ber::read_header(in, pdu_len);
-  if (!is_pdu_tag(tag)) {
-    throw BerError("unknown PDU tag " + std::to_string(tag));
-  }
-  Pdu pdu;
-  pdu.type = static_cast<PduType>(tag);
-  pdu.request_id = static_cast<std::int32_t>(ber::read_integer(in));
-  pdu.error_status = static_cast<ErrorStatus>(ber::read_integer(in));
-  pdu.error_index = static_cast<std::int32_t>(ber::read_integer(in));
-
-  const std::size_t vbl_len = ber::expect_header(in, ber::kTagSequence);
-  const std::size_t end = in.position() + vbl_len;
-  while (in.position() < end) {
-    ber::expect_header(in, ber::kTagSequence);  // one varbind
-    VarBind vb;
-    vb.oid = ber::read_oid(in);
-    vb.value = ber::read_value(in);
-    pdu.varbinds.push_back(std::move(vb));
-  }
-  return pdu;
+std::int64_t read_integer(BerReader& in) {
+  return ValueView{ber::kTagInteger, in.expect_tlv(ber::kTagInteger)}
+      .to_integer();
 }
 
 }  // namespace
@@ -168,23 +111,34 @@ Bytes encode_message(const Message& message, Bytes reuse) {
 }
 
 Message decode_message(const Bytes& wire) {
-  ByteReader in(wire);
-  ber::expect_header(in, ber::kTagSequence);
+  const MessageHeadView head = decode_message_head(wire);
   Message message;
-  message.version = static_cast<SnmpVersion>(ber::read_integer(in));
-  if (message.version != SnmpVersion::kV1 &&
-      message.version != SnmpVersion::kV2c) {
-    throw BerError("unsupported SNMP version");
+  message.version = head.version;
+  message.community = std::string(head.community);
+  message.pdu.type = static_cast<PduType>(head.pdu_tag);
+  if (message.pdu.type != PduType::kTrapV1) {
+    message.pdu.request_id = head.request_id;
+    message.pdu.error_status = head.error_status;
+    message.pdu.error_index = head.error_index;
+    message.pdu.varbinds = decode_varbinds(head.varbinds);
+    return message;
   }
-  message.community = ber::read_octet_string(in);
-  if (in.peek_u8() == static_cast<std::uint8_t>(PduType::kTrapV1)) {
-    std::size_t length = 0;
-    ber::read_header(in, length);
-    message.trap_v1 = decode_trap_v1(in);
-    message.pdu.type = PduType::kTrapV1;
-  } else {
-    message.pdu = decode_pdu(in);
-  }
+  // A v1 Trap-PDU body carries five trap fields in place of request-id
+  // and the error fields (RFC 1157 §4.1.6).
+  BerReader body = head.trap_body;
+  TrapV1Pdu trap;
+  trap.enterprise = OidView{body.expect_tlv(ber::kTagOid)}.to_oid();
+  trap.agent_addr = std::get<IpAddressValue>(
+      ValueView{ber::kTagIpAddress, body.expect_tlv(ber::kTagIpAddress)}
+          .to_value()).value;
+  trap.generic_trap = static_cast<GenericTrap>(read_integer(body));
+  trap.specific_trap = static_cast<std::int32_t>(read_integer(body));
+  trap.time_stamp_ticks = static_cast<std::uint32_t>(
+      ValueView{ber::kTagTimeTicks, body.expect_tlv(ber::kTagTimeTicks)}
+          .to_unsigned());
+  trap.varbinds =
+      decode_varbinds(BerReader(body.expect_tlv(ber::kTagSequence)));
+  message.trap_v1 = std::move(trap);
   return message;
 }
 

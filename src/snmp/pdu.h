@@ -1,4 +1,8 @@
 // SNMP PDUs and messages (RFC 1157 / RFC 1905 wire format).
+//
+// The owning message model plus its encoder. decode_message is the
+// materializing convenience over the zero-copy decoder in ber_view.h;
+// it is not a parser of its own.
 #pragma once
 
 #include <optional>
@@ -101,7 +105,9 @@ struct Message {
 /// are discarded but its capacity is kept.
 Bytes encode_message(const Message& message, Bytes reuse = {});
 
-/// Parses a complete SNMP message; throws BerError on malformed input.
+/// Materializes a complete SNMP message from the views of ber_view.h
+/// (decode_message_head, then decode_varbinds or the v1 Trap-PDU body).
+/// Throws BerError / BufferUnderflow on malformed input.
 Message decode_message(const Bytes& wire);
 
 }  // namespace netqos::snmp

@@ -13,6 +13,7 @@
 #include "snmp/ber.h"
 #include "snmp/client.h"
 #include "snmp/pdu.h"
+#include "snmp/trap.h"
 #include "snmp/walker.h"
 
 namespace netqos {
@@ -407,6 +408,83 @@ TEST_P(FuzzSeeds, WalkerSurvivesAdversarialBulkResponses) {
 
 TEST_P(FuzzSeeds, WalkerSurvivesAdversarialGetNextResponses) {
   run_adversarial_walks(snmp::SnmpVersion::kV1, GetParam());
+}
+
+// --- Trap listener vs truncated and bit-flipped notifications ----------
+//
+// Every datagram that reaches UDP/162 is counted exactly once, as
+// received or as malformed, whatever a v1 Trap-PDU or v2 trap body holds.
+
+TEST_P(FuzzSeeds, TrapListenerCountsTruncatedAndBitFlippedTraps) {
+  sim::Simulator sim;
+  sim::Network net(sim);
+  sim::Host* manager = &net.add_host("manager");
+  sim::Host* agent = &net.add_host("agent");
+  net.add_host_interface(*manager, "eth0", mbps(100),
+                         sim::Ipv4Address::parse("10.0.0.1"));
+  net.add_host_interface(*agent, "eth0", mbps(100),
+                         sim::Ipv4Address::parse("10.0.0.2"));
+  net.connect(*manager, "eth0", *agent, "eth0");
+  std::uint64_t delivered = 0;
+  snmp::TrapListener listener(
+      manager->udp(), [&](const snmp::TrapNotification&) { ++delivered; });
+
+  Xoshiro256 rng(GetParam() ^ 0x7a95);
+  snmp::Message v1;
+  v1.version = snmp::SnmpVersion::kV1;
+  snmp::TrapV1Pdu trap;
+  trap.enterprise = random_oid(rng);
+  trap.agent_addr = static_cast<std::uint32_t>(rng.next());
+  trap.generic_trap = static_cast<snmp::GenericTrap>(rng.uniform_int(0, 6));
+  trap.specific_trap = static_cast<std::int32_t>(rng.next());
+  trap.time_stamp_ticks = static_cast<std::uint32_t>(rng.next());
+  for (std::size_t i = rng.uniform_int(1, 3); i > 0; --i) {
+    trap.varbinds.push_back({random_oid(rng), random_value(rng)});
+  }
+  v1.trap_v1 = std::move(trap);
+
+  snmp::Message v2;
+  v2.pdu.type = snmp::PduType::kSnmpV2Trap;
+  v2.pdu.request_id = static_cast<std::int32_t>(rng.next());
+  v2.pdu.varbinds = {
+      {snmp::mib2::kSysUpTime.child(0),
+       snmp::SnmpValue(snmp::TimeTicks{
+           static_cast<std::uint32_t>(rng.next())})},
+      {snmp::mib2::kSnmpTrapOid.child(0), snmp::SnmpValue(random_oid(rng))},
+  };
+  for (std::size_t i = rng.uniform_int(0, 2); i > 0; --i) {
+    v2.pdu.varbinds.push_back({random_oid(rng), random_value(rng)});
+  }
+
+  const std::uint16_t sport = agent->udp().allocate_ephemeral_port();
+  std::uint64_t sent = 0;
+  const auto send = [&](Bytes wire) {
+    ASSERT_TRUE(agent->udp().send(manager->ip(), sim::kSnmpTrapPort, sport,
+                                  std::move(wire)));
+    ++sent;
+    sim.run_until(sim.now() + milliseconds(1));
+  };
+  for (const Bytes& wire : {snmp::encode_message(v1),
+                            snmp::encode_message(v2)}) {
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      send(Bytes(wire.begin(), wire.begin() + cut));
+    }
+    for (int iter = 0; iter < 200; ++iter) {
+      Bytes mutated = wire;
+      for (std::size_t flips = rng.uniform_int(1, 4); flips > 0; --flips) {
+        const std::size_t byte = rng.uniform_int(0, mutated.size() - 1);
+        mutated[byte] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+      }
+      send(std::move(mutated));
+    }
+    send(wire);
+  }
+
+  const snmp::TrapListenerStats& stats = listener.stats();
+  EXPECT_EQ(stats.received + stats.malformed, sent);
+  EXPECT_EQ(stats.received, delivered);
+  EXPECT_GE(stats.received, 2u);  // at least the two intact traps
 }
 
 #if defined(NETQOS_FUZZ_LONG)

@@ -32,6 +32,19 @@ class AgentClientFixture : public ::testing::Test {
     client = std::make_unique<SnmpClient>(sim, manager->udp());
   }
 
+  /// Sends `wire` to the agent's SNMP port; returns the replies received.
+  int raw_exchange(Bytes wire) {
+    const auto sport = manager->udp().allocate_ephemeral_port();
+    int replies = 0;
+    manager->udp().bind(sport,
+                        [&replies](const sim::Ipv4Packet&) { ++replies; });
+    manager->udp().send(target->ip(), sim::kSnmpPort, sport,
+                        std::move(wire));
+    sim.run_until(sim.now() + seconds(1));
+    manager->udp().unbind(sport);
+    return replies;
+  }
+
   sim::Simulator sim;
   sim::Network net;
   sim::Host* manager = nullptr;
@@ -171,6 +184,49 @@ TEST_F(AgentClientFixture, MalformedPacketCountsDecodeError) {
                       {0xde, 0xad, 0xbe, 0xef});
   sim.run_until(seconds(1));
   EXPECT_EQ(agent->stats().decode_errors, 1u);
+}
+
+/// A GetRequest for sysUpTime.0 and the offset of its varbind-list
+/// SEQUENCE header. The list is the message's last TLV, so it starts
+/// where the same message without varbinds ends in an empty `30 00`
+/// (every length here is short-form in both encodings).
+struct RawGetRequest {
+  Bytes wire;
+  std::size_t list = 0;
+};
+
+RawGetRequest raw_get_request() {
+  Message msg;
+  msg.pdu.type = PduType::kGetRequest;
+  msg.pdu.request_id = 91;
+  RawGetRequest get;
+  get.list = encode_message(msg).size() - 2;
+  msg.pdu.varbinds.push_back({mib2::kSysUpTime.child(0), Null{}});
+  get.wire = encode_message(msg);
+  return get;
+}
+
+TEST_F(AgentClientFixture, EmptyVarbindSequenceCountsDecodeError) {
+  // The varbind SEQUENCE declares length 0; its OID and NULL follow it
+  // inside the list but belong to no varbind.
+  RawGetRequest get = raw_get_request();
+  ASSERT_EQ(get.wire[get.list + 2], 0x30);
+  ASSERT_EQ(raw_exchange(get.wire), 1);  // intact framing is answered
+  get.wire[get.list + 3] = 0;
+  EXPECT_EQ(raw_exchange(get.wire), 0);
+  EXPECT_EQ(agent->stats().decode_errors, 1u);
+  EXPECT_EQ(agent->stats().responses, 1u);
+}
+
+TEST_F(AgentClientFixture, VarbindOverrunningListCountsDecodeError) {
+  // The list declares one byte less than its only varbind occupies.
+  RawGetRequest get = raw_get_request();
+  ASSERT_EQ(get.wire[get.list], 0x30);
+  ASSERT_EQ(raw_exchange(get.wire), 1);  // intact framing is answered
+  --get.wire[get.list + 1];
+  EXPECT_EQ(raw_exchange(get.wire), 0);
+  EXPECT_EQ(agent->stats().decode_errors, 1u);
+  EXPECT_EQ(agent->stats().responses, 1u);
 }
 
 TEST_F(AgentClientFixture, SetRequestAnswersGenErr) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "snmp/ber_view.h"
 
 namespace netqos::snmp {
 namespace {
@@ -14,8 +15,9 @@ Bytes encode_value(const SnmpValue& value) {
 }
 
 SnmpValue decode_value(const Bytes& wire) {
-  ByteReader r(wire);
-  return ber::read_value(r);
+  BerReader r(wire);
+  const Tlv tlv = r.read_tlv();
+  return ValueView{tlv.tag, tlv.content}.to_value();
 }
 
 TEST(Ber, IntegerKnownEncodings) {
@@ -168,8 +170,8 @@ TEST(Ber, DecodeRejectsTruncatedOidArc) {
 
 TEST(Ber, ExpectHeaderMismatchThrows) {
   const Bytes wire{0x02, 0x01, 0x05};
-  ByteReader r(wire);
-  EXPECT_THROW(ber::expect_header(r, ber::kTagOctetString), BerError);
+  BerReader r(wire);
+  EXPECT_THROW(r.expect_tlv(ber::kTagOctetString), BerError);
 }
 
 // ---- property-style randomized round trips -----------------------------

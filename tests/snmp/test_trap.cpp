@@ -77,7 +77,36 @@ class TrapFixture : public ::testing::Test {
   std::unique_ptr<SnmpAgent> agent;
   std::unique_ptr<TrapListener> listener;
   std::vector<TrapNotification> received;
+
+  void send_raw(Bytes wire) {
+    const auto sport = target->udp().allocate_ephemeral_port();
+    target->udp().send(manager->ip(), sim::kSnmpTrapPort, sport,
+                       std::move(wire));
+    sim.run_until(sim.now() + seconds(1));
+  }
 };
+
+/// An SNMPv2-Trap (sysUpTime.0, snmpTrapOID.0 = linkDown) and the offset
+/// of its varbind-list SEQUENCE header. The list is the message's last
+/// TLV, so it starts where the same message without varbinds ends in an
+/// empty `30 00` (every length here is short-form in both encodings).
+struct RawV2Trap {
+  Bytes wire;
+  std::size_t list = 0;
+};
+
+RawV2Trap raw_v2_trap() {
+  Message msg;
+  msg.pdu.type = PduType::kSnmpV2Trap;
+  msg.pdu.request_id = 5;
+  RawV2Trap trap;
+  trap.list = encode_message(msg).size() - 2;
+  msg.pdu.varbinds.push_back({mib2::kSysUpTime.child(0), TimeTicks{500}});
+  msg.pdu.varbinds.push_back(
+      {mib2::kSnmpTrapOid.child(0), SnmpValue(mib2::kLinkDownTrap)});
+  trap.wire = encode_message(msg);
+  return trap;
+}
 
 TEST_F(TrapFixture, V2TrapDelivered) {
   sim.run_until(seconds(5));
@@ -126,6 +155,33 @@ TEST_F(TrapFixture, MalformedTrapCounted) {
                      {0x01, 0x02, 0x03});
   sim.run_until(seconds(1));
   EXPECT_TRUE(received.empty());
+  EXPECT_EQ(listener->stats().malformed, 1u);
+}
+
+TEST_F(TrapFixture, EmptyVarbindSequenceTrapCountedMalformed) {
+  // The first varbind SEQUENCE declares length 0; the sysUpTime.0 OID
+  // and TimeTicks follow it inside the list but belong to no varbind.
+  RawV2Trap trap = raw_v2_trap();
+  ASSERT_EQ(trap.wire[trap.list + 2], 0x30);
+  send_raw(trap.wire);
+  ASSERT_EQ(received.size(), 1u);  // intact framing is received
+  trap.wire[trap.list + 3] = 0;
+  send_raw(trap.wire);
+  EXPECT_EQ(received.size(), 1u);
+  EXPECT_EQ(listener->stats().received, 1u);
+  EXPECT_EQ(listener->stats().malformed, 1u);
+}
+
+TEST_F(TrapFixture, VarbindOverrunningListTrapCountedMalformed) {
+  // The list declares one byte less than its two varbinds occupy.
+  RawV2Trap trap = raw_v2_trap();
+  ASSERT_EQ(trap.wire[trap.list], 0x30);
+  send_raw(trap.wire);
+  ASSERT_EQ(received.size(), 1u);  // intact framing is received
+  --trap.wire[trap.list + 1];
+  send_raw(trap.wire);
+  EXPECT_EQ(received.size(), 1u);
+  EXPECT_EQ(listener->stats().received, 1u);
   EXPECT_EQ(listener->stats().malformed, 1u);
 }
 
